@@ -6,6 +6,7 @@
 // speedup is modeled by the discrete-event scheduler (see engine/cluster.h).
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -29,7 +30,13 @@ class ThreadPool {
   template <typename F>
   auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
+    // The count is bumped inside the packaged task, before its future turns
+    // ready, so a caller that has waited on every future sees every task.
+    auto task = std::make_shared<std::packaged_task<R()>>(
+        [this, fn = std::forward<F>(fn)]() mutable -> R {
+          CountOnExit counted{completed_};
+          return fn();
+        });
     std::future<R> result = task->get_future();
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -46,9 +53,17 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
   /// Tasks executed since construction (for scheduler accounting tests).
-  size_t completed_tasks() const;
+  size_t completed_tasks() const {
+    return completed_.load(std::memory_order_acquire);
+  }
 
  private:
+  struct CountOnExit {  // counts a task even when it throws
+    std::atomic<size_t>& count;
+    ~CountOnExit() { count.fetch_add(1, std::memory_order_release); }
+  };
+
+
   void IDF_CHECK_POOL_OPEN() const;  // asserts not shut down (mutex held)
   void WorkerLoop();
 
@@ -56,7 +71,7 @@ class ThreadPool {
   std::condition_variable cv_;
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
-  size_t completed_ = 0;
+  std::atomic<size_t> completed_{0};
   bool shutdown_ = false;
 };
 

@@ -13,87 +13,40 @@ Result<TableHandle> RowAggExec::ExecuteImpl(Session& session,
   using agg_internal::GroupState;
   using agg_internal::ResolvedAggs;
 
-  Cluster& cluster = session.cluster();
   const std::shared_ptr<IndexedRdd>& rdd = indexed_->rdd();
-  const Schema& in_schema = *rdd->schema();
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
-                       ResolvedAggs::Resolve(in_schema, group_by_, aggs_));
-  RowLayout partial_layout(resolved.partial_schema);
+                       ResolvedAggs::Resolve(*rdd->schema(), group_by_, aggs_));
+  return ShuffleAggregate(
+      session, metrics, "row-direct partial aggregate", rdd->rdd_id(),
+      rdd->num_partitions(), rdd->schema(), group_by_, aggs_, resolved,
+      [&](TaskContext& ctx, uint32_t p, GroupMap& groups) -> Status {
+        IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
+                             rdd->GetPartition(p, indexed_->version(), ctx));
+        // Pin the partition's batches for the whole aggregation scan.
+        mem::AccessScope scan_scope;
+        const RowLayout& layout = part->layout();
+        ctx.metrics().rows_read += part->num_rows();
 
-  const uint32_t P = rdd->num_partitions();
-  const uint32_t R = resolved.group_idx.empty() ? 1 : P;
-  const uint64_t shuffle_id = cluster.shuffle().NewShuffle(P, R);
-
-  StageSpec partial_stage;
-  partial_stage.name = "row-direct partial aggregate";
-  for (uint32_t p = 0; p < P; ++p) {
-    partial_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(rdd->rdd_id(), p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
-                               rdd->GetPartition(p, indexed_->version(), ctx));
-          // Pin the partition's batches for the whole aggregation scan.
-          mem::AccessScope scan_scope;
-          const RowLayout& layout = part->layout();
-          ctx.metrics().rows_read += part->num_rows();
-
-          // Aggregate straight off the binary rows — no columnar detour.
-          GroupMap groups;
-          part->ForEachRow([&](const uint8_t* row) {
-            RowVec key;
-            key.reserve(resolved.group_idx.size());
-            for (size_t g : resolved.group_idx) {
-              key.push_back(layout.GetValue(row, g));
-            }
-            GroupState& state =
-                FindOrCreateGroup(groups, std::move(key), aggs_.size());
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              const Value v =
-                  resolved.agg_idx[a] < 0
-                      ? Value::Int64(1)
-                      : layout.GetValue(
-                            row, static_cast<size_t>(resolved.agg_idx[a]));
-              state.accums[a].AddValue(aggs_[a], v);
-            }
-          });
-
-          std::vector<ShuffleBuffer> buffers(R);
-          std::vector<uint8_t> scratch;
-          for (const auto& [code, bucket] : groups) {
-            const uint32_t rp =
-                resolved.group_idx.empty() ? 0 : HashPartition(code, R);
-            for (const GroupState& state : bucket) {
-              RowVec row = resolved.EncodePartial(state, aggs_);
-              Result<uint32_t> size = partial_layout.ComputeRowSize(row);
-              IDF_RETURN_IF_ERROR(size.status());
-              scratch.resize(*size);
-              partial_layout.EncodeRow(row, scratch.data(),
-                                       PackedRowPtr::Null());
-              buffers[rp].AppendRow(scratch.data(), *size);
-            }
+        // Aggregate straight off the binary rows — no columnar detour.
+        part->ForEachRow([&](const uint8_t* row) {
+          RowVec key;
+          key.reserve(resolved.group_idx.size());
+          for (size_t g : resolved.group_idx) {
+            key.push_back(layout.GetValue(row, g));
           }
-          for (uint32_t rp = 0; rp < R; ++rp) {
-            if (buffers[rp].num_rows == 0) continue;
-            buffers[rp].source = ctx.executor();
-            ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-            cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                           std::move(buffers[rp]));
+          GroupState& state =
+              FindOrCreateGroup(groups, std::move(key), aggs_.size());
+          for (size_t a = 0; a < aggs_.size(); ++a) {
+            const Value v =
+                resolved.agg_idx[a] < 0
+                    ? Value::Int64(1)
+                    : layout.GetValue(row,
+                                      static_cast<size_t>(resolved.agg_idx[a]));
+            state.accums[a].AddValue(aggs_[a], v);
           }
-          return Status::OK();
-        },
-        {{rdd->rdd_id(), p}}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics psm, cluster.RunStage(partial_stage));
-  metrics.MergeStage(psm);
-
-  IDF_ASSIGN_OR_RETURN(
-      TableHandle out,
-      FinalizeAggregation(session, metrics, shuffle_id, R, rdd->schema(),
-                          group_by_, aggs_, resolved));
-  cluster.shuffle().Release(shuffle_id);
-  return out;
+        });
+        return Status::OK();
+      });
 }
 
 Result<PhysOpPtr> RowAggStrategy::TryPlan(const PlanPtr& plan,

@@ -168,12 +168,11 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
 
   // Shuffle path: route probe rows to the indexed partitions (§III-C: "the
   // rows of the latter are shuffled according to the hash partitioning
-  // scheme of the former"). Under the streaming transport the build side
-  // starts probing routed buffers while upstream probe partitions are still
-  // encoding (fused map+reduce stage).
+  // scheme of the former"). The build side starts probing routed buffers
+  // while upstream probe partitions are still encoding (fused map+reduce
+  // stage).
   const uint64_t shuffle_id =
       cluster.shuffle().NewShuffle(probe.num_partitions, P);
-  const bool pipelined = ShufflePipelineEnabled();
   StageSpec map_stage;
   map_stage.name = "indexed join (probe shuffle)";
   for (uint32_t p = 0; p < probe.num_partitions; ++p) {
@@ -183,14 +182,16 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         0,
         [&, p](TaskContext& ctx) -> Status {
           // `key_vec` is held across per-row encodes of the same chunk.
+          // Declared before `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr chunk;
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, probe, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
+          const ColumnarChunk& input = *chunk;
           const ColumnVector& key_vec = input.column(probe_key);
           ctx.metrics().rows_read += input.num_rows();
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, P,
-                               ctx.executor(), pipelined, input.num_rows());
+                               ctx.executor(), input.num_rows());
           std::vector<uint8_t> scratch;  // reused across rows
           Status routed = Status::OK();
           for (size_t i = 0; i < input.num_rows() && routed.ok(); ++i) {
@@ -215,18 +216,14 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
-          // Stream opened before the build partition is fetched so the
-          // barrier transport declares its per-map network reads in the
-          // classic order (reads before the GetPartition transfer).
-          std::unique_ptr<RoutedBufferStream> in =
-              OpenReduceStream(ctx, shuffle_id, p, pipelined);
+          RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, p);
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                rdd->GetPartition(p, version, ctx));
           const RowLayout& indexed_layout = part->layout();
           auto out = std::make_shared<ColumnarChunk>(out_schema);
           for (;;) {
             IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
-                                 in->Next());
+                                 in.Next());
             if (buf == nullptr) break;
             ctx.metrics().rows_read += buf->num_rows;
             // Per-buffer pin scope: probed chain batches stay resident
@@ -254,11 +251,10 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
         },
         {{rdd->rdd_id(), p}}});
   }
-  Result<std::vector<StageMetrics>> stage_metrics =
-      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage, pipelined);
-  cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(stage_metrics.status());
-  for (const StageMetrics& sm : *stage_metrics) metrics.MergeStage(sm);
+  IDF_ASSIGN_OR_RETURN(
+      StageMetrics sm,
+      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage));
+  metrics.MergeStage(sm);
   return sink.Finish();
 }
 

@@ -12,8 +12,8 @@ namespace idf {
 namespace {
 
 /// Streams routed shuffle buffers into an IndexedPartition while keeping
-/// the row-batch layout byte-identical to the classic barrier path, which
-/// issued ONE ReserveHint(total_routed_bytes) before inserting anything.
+/// the row-batch layout identical to what ONE up-front
+/// ReserveHint(total_routed_bytes) before inserting anything would give.
 ///
 /// Batch opens consume the store's hint: capacity = clamp(hint, row, cap)
 /// (see PartitionStore). With one big up-front hint, every open grants the
@@ -242,14 +242,11 @@ Status IndexedRdd::ShuffleToPartitions(
   RowLayout layout(schema_);
   const uint64_t shuffle_id =
       cluster.shuffle().NewShuffle(source.num_partitions, num_partitions_);
-  // Sampled once per shuffle so the map tasks, reduce tasks, and stage
-  // scheduling below always agree on the transport.
-  const bool pipelined = ShufflePipelineEnabled();
 
   // Map: route rows to their indexed partitions by key-code hash (§III-C
-  // "its rows are shuffled based on the hash partitioning scheme"). Under
-  // the streaming transport each per-target buffer is pushed into its
-  // channel as it seals, so consumers start inserting mid-encode.
+  // "its rows are shuffled based on the hash partitioning scheme"). Each
+  // per-target buffer is pushed into its channel as it seals, so consumers
+  // start inserting mid-encode.
   StageSpec map_stage;
   map_stage.name = stage_name + " (shuffle)";
   for (uint32_t p = 0; p < source.num_partitions; ++p) {
@@ -260,15 +257,17 @@ Status IndexedRdd::ShuffleToPartitions(
         [&, p](TaskContext& ctx) -> Status {
           // Scope: key_col stays valid across the encode loop even if the
           // budget enforcer runs while routed buffers allocate.
+          // Declared before `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr chunk;
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, source, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, source, p));
+          const ColumnarChunk& input = *chunk;
           const ColumnVector& key_col = input.column(key_column_);
           ctx.metrics().rows_read += input.num_rows();
 
           ShuffleWriter writer(cluster.shuffle(), shuffle_id, p,
-                               num_partitions_, ctx.executor(), pipelined,
+                               num_partitions_, ctx.executor(),
                                input.num_rows());
           std::vector<uint8_t> scratch;  // reused across rows
           Status routed = Status::OK();
@@ -280,8 +279,8 @@ Status IndexedRdd::ShuffleToPartitions(
             routed = writer.Append(target, scratch.data(),
                                    static_cast<uint32_t>(scratch.size()));
           }
-          // Finish unconditionally: it publishes remainders and (streaming)
-          // marks this map task done so ordered consumers can advance.
+          // Finish unconditionally: it publishes remainders and marks this
+          // map task done so ordered consumers can advance.
           const Status finished = writer.Finish();
           ctx.metrics().shuffle_bytes_written += writer.bytes_written();
           return routed.ok() ? finished : routed;
@@ -298,18 +297,16 @@ Status IndexedRdd::ShuffleToPartitions(
         {},
         0,
         [&, t](TaskContext& ctx) -> Status {
-          std::unique_ptr<RoutedBufferStream> in =
-              OpenReduceStream(ctx, shuffle_id, t, pipelined);
-          return consume(ctx, t, *in);
+          RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, t);
+          return consume(ctx, t, in);
         },
         {{rdd_id_, t}}});
   }
 
-  Result<std::vector<StageMetrics>> stage_metrics =
-      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage, pipelined);
-  cluster.shuffle().Release(shuffle_id);
-  IDF_RETURN_IF_ERROR(stage_metrics.status());
-  for (const StageMetrics& sm : *stage_metrics) metrics.MergeStage(sm);
+  IDF_ASSIGN_OR_RETURN(
+      StageMetrics sm,
+      cluster.RunShuffleStages(shuffle_id, map_stage, reduce_stage));
+  metrics.MergeStage(sm);
   return Status::OK();
 }
 
@@ -432,8 +429,11 @@ Status IndexedRdd::InsertRoutedRows(const TableHandle& table,
   for (uint32_t p = 0; p < table.num_partitions; ++p) {
     // Per-chunk scope: pins at most one source chunk at a time, so a tight
     // budget never needs the whole table resident to rebuild one partition.
+    // `chunk` is declared first so it outlives the scope that unpins it: a
+    // recomputed chunk may have no other owner.
+    ChunkPtr chunk;
     mem::AccessScope chunk_scope;
-    IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(ctx, table, p));
+    IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, table, p));
     const ColumnVector& key_col = chunk->column(key_column_);
     for (size_t i = 0; i < chunk->num_rows(); ++i) {
       const uint32_t t =

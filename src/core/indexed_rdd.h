@@ -94,11 +94,11 @@ class IndexedRdd : public std::enable_shared_from_this<IndexedRdd> {
   Status BuildBase(QueryMetrics& metrics);
 
   /// Shuffles `source` rows to their indexed partitions; `consume` runs per
-  /// partition, draining its routed buffers from an ordered stream. Under
-  /// the streaming transport (IDF_SHUFFLE_PIPELINE, default on) the map and
-  /// insert stages run fused, so consumers insert while upstream partitions
-  /// are still encoding; buffers always arrive in (map task, seal sequence)
-  /// order, so what a consumer sees is byte-identical across transports.
+  /// partition, draining its routed buffers from an ordered stream. The map
+  /// and insert stages run fused, so consumers insert while upstream
+  /// partitions are still encoding; buffers arrive in (map task, seal
+  /// sequence) order, so what a consumer sees is identical at any thread
+  /// count.
   Status ShuffleToPartitions(
       const TableHandle& source, const std::string& stage_name,
       QueryMetrics& metrics,

@@ -145,14 +145,14 @@ struct Cluster::TaskResult {
   std::vector<SimRead> reads;
 };
 
-/// Shared state of one RunPipelinedStages invocation, published to its
-/// worker threads through t_pipeline_ so a starved shuffle consumer
-/// (ReduceInputStream's idle hook) can claim pending map work.
+/// Shared state of one fused shuffle stage, published to its worker
+/// threads through t_pipeline_ so a starved shuffle consumer
+/// (RoutedBufferStream's idle hook) can claim pending map work.
 struct Cluster::PipelineContext {
   Cluster* cluster = nullptr;
   const StageSpec* map_stage = nullptr;
   const StagePlan* map_plan = nullptr;
-  TaskLanes* map_lanes = nullptr;
+  std::atomic<uint32_t> next_map{0};  // lowest unclaimed map task
   std::vector<TaskResult>* map_results = nullptr;
   uint64_t stage_span_id = 0;
   uint32_t map_name_id = 0;
@@ -160,23 +160,31 @@ struct Cluster::PipelineContext {
   std::atomic<bool>* cancelled = nullptr;
   const std::function<void()>* fail = nullptr;
 
-  /// Claims and runs one pending map task on behalf of `home`'s lane.
-  /// Returns false when the map lanes are drained (or the stage cancelled).
+  /// Claims and runs the lowest-numbered unclaimed map task on behalf of
+  /// `home`'s lane. Maps are claimed in ascending task index, never per
+  /// lane: a running map then implies every smaller map is running or done,
+  /// so the window's always-admitted minimal map can never sit unclaimed
+  /// while every worker is parked pushing a later one. Returns false when
+  /// every map is claimed (or the stage cancelled).
   bool RunOneMapTask(size_t home, bool helper) {
     if (cancelled->load(std::memory_order_relaxed)) return false;
-    uint32_t index = 0;
-    bool stolen = false;
-    uint32_t next_in_lane = TaskLanes::kNoTask;
-    if (!map_lanes->Pop(home, &index, &stolen, &next_in_lane)) return false;
+    const size_t num_map = map_stage->tasks.size();
+    if (next_map.load() >= num_map) return false;
+    const uint32_t index = next_map.fetch_add(1);
+    if (index >= num_map) return false;
     EngineMetrics& em = EngineMetrics::Get();
     obs::FlightRecorder& fr = obs::FlightRecorder::Global();
-    if (stolen || helper) {
+    // Maps have no lanes to steal from; a steal is a starved reducer
+    // pulling map work through its idle hook.
+    if (helper) {
       em.steals.Increment();
       fr.Record(obs::EventType::kSteal, map_name_id, index, home, 0);
     }
-    if (map_plan->have_residency && next_in_lane != TaskLanes::kNoTask &&
-        !map_plan->resident[next_in_lane]) {
-      for (const PartitionInput& in : map_stage->tasks[next_in_lane].inputs) {
+    // The next map in claim order starts next: fault its spilled inputs in
+    // while this one runs.
+    if (map_plan->have_residency && index + 1 < num_map &&
+        !map_plan->resident[index + 1]) {
+      for (const PartitionInput& in : map_stage->tasks[index + 1].inputs) {
         mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
       }
     }
@@ -599,9 +607,18 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   return metrics;
 }
 
-Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
-                                                 const StageSpec& reduce_stage,
-                                                 const PipelineHooks& hooks) {
+Result<StageMetrics> Cluster::RunShuffleStages(uint64_t shuffle_id,
+                                               const StageSpec& map_stage,
+                                               const StageSpec& reduce_stage) {
+  Result<StageMetrics> metrics =
+      RunFusedStage(shuffle_id, map_stage, reduce_stage);
+  shuffle_.Release(shuffle_id);
+  return metrics;
+}
+
+Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
+                                            const StageSpec& map_stage,
+                                            const StageSpec& reduce_stage) {
   QueryControl* const control = CurrentQueryControl();
   if (control != nullptr) IDF_RETURN_IF_ERROR(control->Check());
   EngineMetrics& em = EngineMetrics::Get();
@@ -625,7 +642,7 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
 
   // One alive snapshot for both halves; each half gets the same per-stage
   // assignment (round-robin restarting at 0) it would get from its own
-  // RunStage call, so DES placement and block homes match the barrier path.
+  // RunStage call.
   const std::vector<ExecutorId> alive = AliveExecutors();
   IDF_CHECK_MSG(!alive.empty(), "no alive executors");
   const StagePlan map_plan = BuildStagePlan(map_stage, alive);
@@ -636,21 +653,23 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
   const uint64_t stage_span_id = stage_span.id();
   const size_t workers =
       std::min<size_t>(scheduler_threads_, num_map + num_reduce);
+  // Enforce the window only when running parallel: a sequential run pushes
+  // every buffer before any consumer exists and would deadlock against it.
+  const bool parallel = workers > 1 && !t_in_stage_task;
+  if (parallel) shuffle_.EnforceWindow(shuffle_id, ShuffleWindowBytes());
   std::atomic<bool> cancelled{false};
+  // First failure wakes everything blocked on the channels.
   const std::function<void()> fail = [&] {
-    if (!cancelled.exchange(true, std::memory_order_relaxed) &&
-        hooks.on_cancel) {
-      hooks.on_cancel();
+    if (!cancelled.exchange(true, std::memory_order_relaxed)) {
+      shuffle_.AbortStreaming(shuffle_id);
     }
   };
 
-  if (workers <= 1 || t_in_stage_task) {
-    // Sequential fallback: maps fully, then reduces — the barrier schedule
-    // in one stage. Reachable only when the caller did not enforce a
-    // backpressure window (RunShuffleStages), so nothing can block.
-    for (size_t k = 0;
-         k < num_map && !cancelled.load(std::memory_order_relaxed); ++k) {
-      const uint32_t i = map_plan.order[k];
+  if (!parallel) {
+    // Sequential: every map, then every reduce. No window is enforced, so
+    // nothing can block.
+    for (uint32_t i = 0;
+         i < num_map && !cancelled.load(std::memory_order_relaxed); ++i) {
       ExecuteTask(map_stage, i, map_plan.assigned[i], stage_span_id,
                   map_name_id, control, map_results[i]);
       if (!map_results[i].status.ok()) fail();
@@ -663,14 +682,12 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
       if (!reduce_results[i].status.ok()) fail();
     }
   } else {
-    TaskLanes map_lanes(map_plan.lane_of, alive.size(), map_plan.order);
     TaskLanes reduce_lanes(reduce_plan.lane_of, alive.size(),
                            reduce_plan.order);
     PipelineContext pctx;
     pctx.cluster = this;
     pctx.map_stage = &map_stage;
     pctx.map_plan = &map_plan;
-    pctx.map_lanes = &map_lanes;
     pctx.map_results = &map_results;
     pctx.stage_span_id = stage_span_id;
     pctx.map_name_id = map_name_id;
@@ -746,17 +763,16 @@ Result<StageMetrics> Cluster::RunPipelinedStages(const StageSpec& map_stage,
     for (std::future<void>& f : done) f.get();
   }
 
-  // Merge in combined task-index order: maps, then reduces — exactly the
-  // accounting order of the two-stage barrier path. Failure selection
-  // prefers the first root-cause failure; statuses the cancellation itself
-  // induced (hooks.is_abort, e.g. "shuffle aborted") only surface when no
-  // primary failure exists.
+  // Merge in combined task-index order: maps, then reduces. Failure
+  // selection prefers the first root-cause failure; the "shuffle aborted"
+  // statuses the cancellation itself induced only surface when no primary
+  // failure exists.
   const TaskResult* primary = nullptr;
   const TaskResult* secondary = nullptr;
   auto scan_failures = [&](const std::vector<TaskResult>& results) {
     for (const TaskResult& tr : results) {
       if (!tr.ran || tr.status.ok()) continue;
-      const bool induced = hooks.is_abort && hooks.is_abort(tr.status);
+      const bool induced = IsShuffleAborted(tr.status);
       if (!induced && primary == nullptr) primary = &tr;
       if (secondary == nullptr) secondary = &tr;
     }
@@ -824,56 +840,12 @@ bool Cluster::TryHelpPipelinedMapTask() {
   return pctx->RunOneMapTask(t_pipeline_home_, /*helper=*/true);
 }
 
-Result<std::vector<StageMetrics>> Cluster::RunShuffleStages(
-    uint64_t shuffle_id, const StageSpec& map_stage,
-    const StageSpec& reduce_stage, bool pipelined) {
-  std::vector<StageMetrics> out;
-  if (!pipelined) {
-    Result<StageMetrics> map_metrics = RunStage(map_stage);
-    IDF_RETURN_IF_ERROR(map_metrics.status());
-    Result<StageMetrics> reduce_metrics = RunStage(reduce_stage);
-    IDF_RETURN_IF_ERROR(reduce_metrics.status());
-    out.push_back(*map_metrics);
-    out.push_back(*reduce_metrics);
-    return out;
-  }
-  // Enforce the window only when the fused stage will actually run
-  // parallel: a sequential run pushes every buffer before any consumer
-  // exists and would deadlock against its own window.
-  const size_t workers = std::min<size_t>(
-      scheduler_threads_, map_stage.tasks.size() + reduce_stage.tasks.size());
-  const bool parallel = workers > 1 && !t_in_stage_task;
-  shuffle_.StartStreaming(shuffle_id, ShuffleWindowBytes(),
-                          /*enforce_window=*/parallel);
-  PipelineHooks hooks;
-  hooks.on_cancel = [this, shuffle_id] { shuffle_.AbortStreaming(shuffle_id); };
-  hooks.is_abort = [](const Status& s) { return IsShuffleAborted(s); };
-  Result<StageMetrics> fused =
-      RunPipelinedStages(map_stage, reduce_stage, hooks);
-  IDF_RETURN_IF_ERROR(fused.status());
-  out.push_back(*fused);
-  return out;
-}
-
-std::unique_ptr<RoutedBufferStream> OpenReduceStream(TaskContext& ctx,
-                                                     uint64_t shuffle_id,
-                                                     uint32_t reduce_part,
-                                                     bool pipelined) {
-  ShuffleService& service = ctx.cluster().shuffle();
-  if (!pipelined) {
-    // Declare every per-map network read before the consumer touches a row,
-    // in map-task-id order — the classic path's exact read order, which the
-    // DES's NIC-queue interleaving is sensitive to.
-    auto buffers = service.FetchReduceInputs(shuffle_id, reduce_part);
-    for (const auto& buf : buffers) {
-      ctx.AddRead(buf->source, buf->bytes.size());
-    }
-    return std::make_unique<BarrierReduceInput>(std::move(buffers));
-  }
+RoutedBufferStream OpenReduceStream(TaskContext& ctx, uint64_t shuffle_id,
+                                    uint32_t reduce_part) {
   Cluster* cluster = &ctx.cluster();
   TaskContext* ctx_ptr = &ctx;
-  return std::make_unique<ReduceInputStream>(
-      service, shuffle_id, reduce_part,
+  return RoutedBufferStream(
+      cluster->shuffle(), shuffle_id, reduce_part,
       /*idle=*/[cluster] { return cluster->TryHelpPipelinedMapTask(); },
       /*on_map_read=*/
       [ctx_ptr](ExecutorId source, uint64_t bytes) {

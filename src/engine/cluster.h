@@ -128,39 +128,24 @@ class Cluster {
   /// error/success paths (engine/cancel.h).
   Result<StageMetrics> RunStage(const StageSpec& stage);
 
-  /// Cancellation hooks for RunPipelinedStages, coordinating the scheduler
-  /// with a streaming transport (docs/SHUFFLE.md).
-  struct PipelineHooks {
-    /// Fired exactly once, on the first task failure: wake anything blocked
-    /// on the transport (ShuffleService::AbortStreaming).
-    std::function<void()> on_cancel;
-    /// True for the secondary statuses cancellation itself induced
-    /// (IsShuffleAborted): the merge prefers the root-cause failure.
-    std::function<bool(const Status&)> is_abort;
-  };
-
-  /// Fused-stage mode: runs `map_stage` and `reduce_stage` as ONE stage so
-  /// reduce tasks start concurrently with map tasks — consumers of a
-  /// streaming shuffle begin inserting while upstream partitions are still
-  /// encoding. Both sub-stages get the same per-stage executor assignment
-  /// they would get from back-to-back RunStage calls; workers alternate
-  /// claim preference between the two lane sets (odd workers reduce-first)
-  /// and merge/DES accounting runs maps-then-reduces in task-index order,
-  /// so totals match the two-stage path exactly. Falls back to in-line
-  /// maps-then-reduces when sequential (1 thread, or nested in a task).
-  Result<StageMetrics> RunPipelinedStages(const StageSpec& map_stage,
-                                          const StageSpec& reduce_stage,
-                                          const PipelineHooks& hooks = {});
-
-  /// Runs a shuffle's map and reduce stages. Barrier mode: two RunStage
-  /// calls (two StageMetrics). Pipelined: arms the streaming channels
-  /// (window = ShuffleWindowBytes(), enforced only when actually parallel —
-  /// a sequential run blocking on its own window would deadlock) and runs
-  /// one fused stage (one StageMetrics). Callers must Release the shuffle
-  /// themselves, on success and on error.
-  Result<std::vector<StageMetrics>> RunShuffleStages(
-      uint64_t shuffle_id, const StageSpec& map_stage,
-      const StageSpec& reduce_stage, bool pipelined);
+  /// Runs a shuffle's map and reduce stages as ONE fused stage, so reduce
+  /// tasks start concurrently with map tasks — consumers drain their
+  /// channels while upstream partitions are still encoding. Map tasks are
+  /// claimed in ascending task index (the backpressure window's liveness
+  /// argument, docs/SHUFFLE.md); reduce tasks through per-executor lanes in
+  /// residency-preferred order, with odd workers preferring them. Both
+  /// halves get the executor assignment RunStage would give them, and
+  /// merge/DES accounting runs maps-then-reduces in task-index order, so
+  /// results and totals are identical at any thread count. The window
+  /// (ShuffleWindowBytes()) is enforced only when the stage runs parallel;
+  /// sequential runs (1 thread, or nested in a task) execute every map,
+  /// then every reduce, in-line. The first task failure aborts the shuffle
+  /// (ShuffleService::AbortStreaming) and wins over the secondary "shuffle
+  /// aborted" statuses it induces. Releases the shuffle on return, success
+  /// or error.
+  Result<StageMetrics> RunShuffleStages(uint64_t shuffle_id,
+                                        const StageSpec& map_stage,
+                                        const StageSpec& reduce_stage);
 
   /// Work-stealing hook for starved shuffle consumers: when the calling
   /// thread is a fused-stage worker and pending map tasks exist, claims and
@@ -209,6 +194,11 @@ class Cluster {
   struct TaskResult;       // per-task outcome slot (cluster.cpp)
   struct PipelineContext;  // fused-stage shared state (cluster.cpp)
 
+  /// The fused stage behind RunShuffleStages (which releases the shuffle).
+  Result<StageMetrics> RunFusedStage(uint64_t shuffle_id,
+                                     const StageSpec& map_stage,
+                                     const StageSpec& reduce_stage);
+
   /// The driver-side plan for one stage: executor assignment (task-index
   /// order, determinism-bearing), lanes, and the residency-preferred claim
   /// order. Factored out of RunStage so the fused path can plan its two
@@ -248,7 +238,7 @@ class Cluster {
   size_t DropKilledExecutor(ExecutorId e);
 
   /// Fused-stage state for the calling worker thread, consulted by
-  /// TryHelpPipelinedMapTask (null outside RunPipelinedStages workers).
+  /// TryHelpPipelinedMapTask (null outside fused-stage workers).
   static thread_local PipelineContext* t_pipeline_;
   static thread_local size_t t_pipeline_home_;
 
@@ -274,15 +264,11 @@ class Cluster {
   std::map<uint64_t, PartitionComputeFn> lineage_;
 };
 
-/// Opens the routed-buffer stream a reduce task drains, matching the
-/// transport RunShuffleStages selected. Barrier: fetches everything and
-/// declares the per-map network reads up front (preserving the classic
-/// path's read order for the DES). Pipelined: an ordered channel stream
-/// whose idle hook steals pending map work and whose per-map reads are
-/// declared as each map's contribution finishes.
-std::unique_ptr<RoutedBufferStream> OpenReduceStream(TaskContext& ctx,
-                                                     uint64_t shuffle_id,
-                                                     uint32_t reduce_part,
-                                                     bool pipelined);
+/// Opens the routed-buffer stream a reduce task of a RunShuffleStages
+/// shuffle drains: an ordered channel stream whose idle hook steals pending
+/// map work and whose per-map reads are declared on `ctx` as each map's
+/// contribution finishes.
+RoutedBufferStream OpenReduceStream(TaskContext& ctx, uint64_t shuffle_id,
+                                    uint32_t reduce_part);
 
 }  // namespace idf

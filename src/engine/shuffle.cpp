@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 
 #include "mem/governor.h"
@@ -46,21 +45,8 @@ void RecordStall(uint64_t micros, uint64_t task, bool drain_side) {
 
 }  // namespace
 
-bool ShufflePipelineEnabled() {
-  // Re-read each call: fig benches and the identity tests flip this between
-  // runs inside one process.
-  if (const char* env = std::getenv("IDF_SHUFFLE_PIPELINE")) {
-    return !(env[0] == '0' && env[1] == '\0');
-  }
-  return true;
-}
-
 uint64_t ShuffleWindowBytes() {
   constexpr uint64_t kDefaultWindow = 64ull << 20;
-  if (const char* env = std::getenv("IDF_SHUFFLE_WINDOW")) {
-    auto parsed = mem::ParseByteSize(env);
-    if (parsed.ok()) return parsed.value();
-  }
   if (mem::MemoryGovernor::Engaged()) {
     const uint64_t budget = mem::MemoryGovernor::Global().budget_bytes();
     if (budget > 0) return std::min(kDefaultWindow, budget / 4);
@@ -75,8 +61,8 @@ Status ShuffleWriter::Append(uint32_t target, const uint8_t* row,
   IDF_CHECK(!finished_ && target < buffers_.size());
   if (reserve_per_target_ == 0) {
     // First routed row sizes the estimate: hint_rows spread evenly over the
-    // targets, at this row's width, capped at the seal threshold (streaming
-    // buffers never grow past it anyway).
+    // targets, at this row's width, capped at the seal threshold (buffers
+    // never grow past it anyway).
     const uint64_t per_target_rows = std::max<uint64_t>(
         1, (hint_rows_ + buffers_.size() - 1) / buffers_.size());
     reserve_per_target_ = static_cast<size_t>(
@@ -86,7 +72,7 @@ Status ShuffleWriter::Append(uint32_t target, const uint8_t* row,
   if (buf.bytes.capacity() == 0) buf.Reserve(reserve_per_target_);
   buf.AppendRow(row, len);
   bytes_written_ += len;
-  if (streaming_ && buf.bytes.size() >= kSealThresholdBytes) {
+  if (buf.bytes.size() >= kSealThresholdBytes) {
     ShuffleBuffer sealed = std::move(buf);
     sealed.source = source_;
     buf = ShuffleBuffer{};
@@ -107,43 +93,40 @@ Status ShuffleWriter::Finish() {
     ShuffleBuffer& buf = buffers_[t];
     if (buf.num_rows == 0) continue;
     buf.source = source_;
-    if (streaming_) {
-      if (result.ok() &&
-          !service_->PushMapOutput(shuffle_, map_task_, t, std::move(buf))) {
-        result = ShuffleAbortedStatus();
-      }
-    } else {
-      service_->PutMapOutput(shuffle_, map_task_, t, std::move(buf));
+    if (result.ok() &&
+        !service_->PushMapOutput(shuffle_, map_task_, t, std::move(buf))) {
+      result = ShuffleAbortedStatus();
     }
   }
   // Declare completion even when aborting: consumers blocked on this map's
   // channel must be able to advance (abort wakes them too — belt and
   // braces for the window's min-unfinished carve-out).
-  if (streaming_) service_->MapTaskFinished(shuffle_, map_task_);
+  service_->MapTaskFinished(shuffle_, map_task_);
   return result;
 }
 
-// ---- streaming channels ---------------------------------------------------
+// ---- ShuffleService --------------------------------------------------------
 
-void ShuffleService::StartStreaming(uint64_t shuffle, uint64_t window_bytes,
-                                    bool enforce_window) {
+uint64_t ShuffleService::NewShuffle(uint32_t num_map_tasks,
+                                    uint32_t num_reduce_tasks) {
   std::lock_guard<std::mutex> lock(mutex_);
-  State& s = GetState(shuffle);
-  s.streaming = true;
-  s.enforce = enforce_window && window_bytes > 0;
-  s.aborted = false;
-  s.window = window_bytes;
-  s.inflight = 0;
-  s.inflight_peak = 0;
-  s.min_unfinished = 0;
-  s.map_finished.assign(s.num_map, 0);
-  s.channels.clear();
-  s.channels.reserve(s.num_reduce);
-  for (uint32_t r = 0; r < s.num_reduce; ++r) {
+  const uint64_t id = next_id_++;
+  State& s = shuffles_[id];
+  s.num_map = num_map_tasks;
+  s.num_reduce = num_reduce_tasks;
+  s.map_finished.assign(num_map_tasks, 0);
+  s.channels.reserve(num_reduce_tasks);
+  for (uint32_t r = 0; r < num_reduce_tasks; ++r) {
     auto channel = std::make_unique<Channel>();
-    channel->per_map.resize(s.num_map);
+    channel->per_map.resize(num_map_tasks);
     s.channels.push_back(std::move(channel));
   }
+  return id;
+}
+
+void ShuffleService::EnforceWindow(uint64_t shuffle, uint64_t window_bytes) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  GetState(shuffle).window = window_bytes;
 }
 
 bool ShuffleService::PushMapOutput(uint64_t shuffle, uint32_t map_task,
@@ -170,14 +153,13 @@ bool ShuffleService::PushMapOutput(uint64_t shuffle, uint32_t map_task,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     State& s = GetState(shuffle);
-    IDF_CHECK_MSG(s.streaming, "streaming push on a barrier shuffle");
     IDF_CHECK(map_task < s.num_map && reduce_part < s.num_reduce);
     // Window admission. The smallest unfinished map task is always admitted:
     // it is the map every ordered consumer may be blocked on, so stalling it
     // against a full window could deadlock; admitting it bounds peak
     // inflight at window + one map task's output.
     const auto admitted = [&] {
-      return s.aborted || !s.enforce || map_task == s.min_unfinished ||
+      return s.aborted || s.window == 0 || map_task == s.min_unfinished ||
              s.inflight + size <= s.window;
     };
     if (!admitted()) {
@@ -211,7 +193,6 @@ bool ShuffleService::PushMapOutput(uint64_t shuffle, uint32_t map_task,
 void ShuffleService::MapTaskFinished(uint64_t shuffle, uint32_t map_task) {
   std::lock_guard<std::mutex> lock(mutex_);
   State& s = GetState(shuffle);
-  if (!s.streaming) return;
   IDF_CHECK(map_task < s.num_map);
   s.map_finished[map_task] = 1;
   while (s.min_unfinished < s.num_map && s.map_finished[s.min_unfinished]) {
@@ -228,7 +209,7 @@ void ShuffleService::AbortStreaming(uint64_t shuffle) {
   auto it = shuffles_.find(shuffle);
   if (it == shuffles_.end()) return;  // already released
   State& s = it->second;
-  if (!s.streaming || s.aborted) return;
+  if (s.aborted) return;
   s.aborted = true;
   s.push_cv.notify_all();
   for (auto& channel : s.channels) channel->cv.notify_all();
@@ -264,7 +245,6 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
     {
       std::unique_lock<std::mutex> lock(mutex_);
       State& s = GetState(shuffle);
-      IDF_CHECK_MSG(s.streaming, "streaming pull on a barrier shuffle");
       IDF_CHECK(reduce_part < s.num_reduce);
       Channel& channel = *s.channels[reduce_part];
       for (;;) {
@@ -284,9 +264,8 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
           break;
         }
         if (s.map_finished[*map_cursor]) {
-          // Map drained: emit its aggregated network read (matching the
-          // barrier path's one AddRead per non-empty map output), then
-          // advance. Fired outside the lock.
+          // Map drained: emit its aggregated network read (one AddRead per
+          // non-empty map output), then advance. Fired outside the lock.
           if (*map_bytes > 0) {
             fire_read = true;
             read_source = *map_source;
@@ -337,7 +316,7 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
   }
 }
 
-Result<std::shared_ptr<const ShuffleBuffer>> ReduceInputStream::Next() {
+Result<std::shared_ptr<const ShuffleBuffer>> RoutedBufferStream::Next() {
   return service_->PullNext(shuffle_, reduce_part_, &map_cursor_, &map_bytes_,
                             &map_source_, idle_, on_map_read_);
 }

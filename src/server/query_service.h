@@ -26,10 +26,10 @@
 //
 // Deadlines & cancellation: each query owns a QueryControl (engine/
 // cancel.h) installed around its execution; Cluster::RunStage and
-// RunPipelinedStages check it at every task boundary, so Cancel() or an
+// RunShuffleStages check it at every task boundary, so Cancel() or an
 // expired deadline unwinds the query with kCancelled / kDeadlineExceeded
 // through the engine's first-error-wins machinery — pins, reservations, and
-// streaming shuffles all release through their normal error paths, and
+// shuffles all release through their normal error paths, and
 // shared state (catalog, versions, block manager) is never poisoned.
 //
 // Knobs (environment, read by QueryServiceConfig::FromEnv):

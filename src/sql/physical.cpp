@@ -619,75 +619,72 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
                                            size_t rkey, bool sort_merge,
                                            QueryMetrics& metrics) const {
   Cluster& cluster = session.cluster();
-  const uint32_t R = std::max(lh.num_partitions, rh.num_partitions);
+  const uint32_t L = lh.num_partitions;
+  const uint32_t R = std::max(L, rh.num_partitions);
   auto out_schema =
       std::make_shared<Schema>(lh.schema->ConcatForJoin(*rh.schema));
   RowLayout llayout(lh.schema);
   RowLayout rlayout(rh.schema);
   const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
                       KeyCodeNeedsVerify(rh.schema->field(rkey).type);
-
-  const uint64_t lshuffle = cluster.shuffle().NewShuffle(lh.num_partitions, R);
-  const uint64_t rshuffle = cluster.shuffle().NewShuffle(rh.num_partitions, R);
-
   const bool outer = join_type_ == JoinType::kLeftOuter;
 
-  // Map stages: partition each side's rows by key-code hash. For a
-  // left-outer join the left side's null-key rows still need emitting, so
-  // they route to partition 0 (they can never match anything).
-  auto run_map_stage = [&](const TableHandle& table, const RowLayout& layout,
-                           size_t key, uint64_t shuffle_id,
-                           bool keep_null_keys, const char* name) -> Status {
-    StageSpec stage;
-    stage.name = name;
-    for (uint32_t p = 0; p < table.num_partitions; ++p) {
-      stage.tasks.push_back(TaskSpec{
-          cluster.HomeExecutorFor(table.rdd_id, p),
-          {},
-          0,
-          [&, p, shuffle_id, key](TaskContext& ctx) -> Status {
-            // `key_col` is held across per-row encodes; keep the chunk
-            // pinned for the whole map task.
-            mem::AccessScope scope;
-            Result<ChunkPtr> chunk = FetchChunk(ctx, table, p);
-            IDF_RETURN_IF_ERROR(chunk.status());
-            const ColumnarChunk& input = **chunk;
-            const ColumnVector& key_col = input.column(key);
-            ctx.metrics().rows_read += input.num_rows();
+  // One shuffle over both inputs: map tasks [0, L) route the left
+  // partitions, the rest the right ones, so every reduce stream delivers all
+  // left rows before any right row and RoutedBufferStream::map_task() tells
+  // the sides apart.
+  const uint64_t shuffle_id =
+      cluster.shuffle().NewShuffle(L + rh.num_partitions, R);
 
-            std::vector<ShuffleBuffer> buffers(R);
-            std::vector<uint8_t> scratch;
-            for (size_t i = 0; i < input.num_rows(); ++i) {
-              uint32_t rp;
-              if (key_col.IsNull(i)) {
-                if (!keep_null_keys) continue;
-                rp = 0;
-              } else {
-                rp = HashPartition(key_col.KeyCodeAt(i), R);
-              }
-              input.EncodeRowTo(layout, i, scratch);
-              buffers[rp].AppendRow(scratch.data(),
-                                    static_cast<uint32_t>(scratch.size()));
+  // Map: partition each side's rows by key-code hash. For a left-outer join
+  // the left side's null-key rows still need emitting, so they route to
+  // partition 0 (they can never match anything).
+  StageSpec map_stage;
+  map_stage.name = "shuffle map";
+  for (uint32_t m = 0; m < L + rh.num_partitions; ++m) {
+    const bool left = m < L;
+    const TableHandle* table = left ? &lh : &rh;
+    const uint32_t p = left ? m : m - L;
+    map_stage.tasks.push_back(TaskSpec{
+        cluster.HomeExecutorFor(table->rdd_id, p),
+        {},
+        0,
+        [&, m, p, left, table](TaskContext& ctx) -> Status {
+          const RowLayout& layout = left ? llayout : rlayout;
+          const size_t key = left ? lkey : rkey;
+          const bool keep_null_keys = left && outer;
+          // `key_col` is held across per-row encodes; keep the chunk
+          // pinned for the whole map task.
+          // Declared before `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr chunk;
+          mem::AccessScope scope;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, *table, p));
+          const ColumnarChunk& input = *chunk;
+          const ColumnVector& key_col = input.column(key);
+          ctx.metrics().rows_read += input.num_rows();
+
+          ShuffleWriter writer(cluster.shuffle(), shuffle_id, m, R,
+                               ctx.executor(), input.num_rows());
+          std::vector<uint8_t> scratch;
+          Status routed = Status::OK();
+          for (size_t i = 0; i < input.num_rows() && routed.ok(); ++i) {
+            uint32_t rp = 0;
+            if (!key_col.IsNull(i)) {
+              rp = HashPartition(key_col.KeyCodeAt(i), R);
+            } else if (!keep_null_keys) {
+              continue;
             }
-            for (uint32_t rp = 0; rp < R; ++rp) {
-              if (buffers[rp].num_rows == 0) continue;
-              buffers[rp].source = ctx.executor();
-              ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-              cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                             std::move(buffers[rp]));
-            }
-            return Status::OK();
-          },
-          {{table.rdd_id, p}}});
-    }
-    IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(stage));
-    metrics.MergeStage(sm);
-    return Status::OK();
-  };
-  IDF_RETURN_IF_ERROR(run_map_stage(lh, llayout, lkey, lshuffle, outer,
-                                    "shuffle map (left)"));
-  IDF_RETURN_IF_ERROR(run_map_stage(rh, rlayout, rkey, rshuffle, false,
-                                    "shuffle map (right)"));
+            input.EncodeRowTo(layout, i, scratch);
+            routed = writer.Append(rp, scratch.data(),
+                                   static_cast<uint32_t>(scratch.size()));
+          }
+          const Status finished = writer.Finish();
+          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
+          return routed.ok() ? finished : routed;
+        },
+        {{table->rdd_id, p}}});
+  }
 
   // Build on the smaller side (vanilla heuristic); outer joins must probe
   // with the left side.
@@ -702,27 +699,21 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          auto fetch = [&](uint64_t shuffle_id) {
-            auto inputs = cluster.shuffle().FetchReduceInputs(shuffle_id, rp);
-            for (const auto& buf : inputs) {
-              ctx.AddRead(buf->source, buf->bytes.size());
-            }
-            return inputs;
-          };
-          auto linputs = fetch(lshuffle);
-          auto rinputs = fetch(rshuffle);
-
-          // Collect row pointers per side.
-          auto rows_of = [](const auto& inputs) {
-            std::vector<const uint8_t*> rows;
-            for (const auto& buf : inputs) {
-              ShuffleBufferReader reader(*buf);
-              while (reader.HasNext()) rows.push_back(reader.Next());
-            }
-            return rows;
-          };
-          std::vector<const uint8_t*> lrows = rows_of(linputs);
-          std::vector<const uint8_t*> rrows = rows_of(rinputs);
+          // Collect row pointers per side; `held` keeps their buffers alive.
+          RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, rp);
+          std::vector<std::shared_ptr<const ShuffleBuffer>> held;
+          std::vector<const uint8_t*> lrows;
+          std::vector<const uint8_t*> rrows;
+          for (;;) {
+            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
+                                 in.Next());
+            if (buf == nullptr) break;
+            std::vector<const uint8_t*>& rows =
+                in.map_task() < L ? lrows : rrows;
+            ShuffleBufferReader reader(*buf);
+            while (reader.HasNext()) rows.push_back(reader.Next());
+            held.push_back(std::move(buf));
+          }
           ctx.metrics().rows_read += lrows.size() + rrows.size();
 
           auto out = std::make_shared<ColumnarChunk>(out_schema);
@@ -840,10 +831,9 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
         },
         {}});
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics sm, cluster.RunStage(reduce));
+  IDF_ASSIGN_OR_RETURN(StageMetrics sm,
+                       cluster.RunShuffleStages(shuffle_id, map_stage, reduce));
   metrics.MergeStage(sm);
-  cluster.shuffle().Release(lshuffle);
-  cluster.shuffle().Release(rshuffle);
   return sink.Finish();
 }
 
@@ -851,100 +841,53 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
 
 Result<TableHandle> HashAggExec::ExecuteImpl(Session& session,
                                              QueryMetrics& metrics) const {
-  using agg_internal::Accum;
   using agg_internal::FindOrCreateGroup;
-  using agg_internal::GroupCode;
   using agg_internal::GroupMap;
   using agg_internal::GroupState;
   using agg_internal::ResolvedAggs;
 
-  Cluster& cluster = session.cluster();
   IDF_ASSIGN_OR_RETURN(TableHandle in, child()->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(ResolvedAggs resolved,
                        ResolvedAggs::Resolve(*in.schema, group_by_, aggs_));
-  RowLayout partial_layout(resolved.partial_schema);
-
-  const uint32_t R = resolved.group_idx.empty() ? 1 : in.num_partitions;
-  const uint64_t shuffle_id =
-      cluster.shuffle().NewShuffle(in.num_partitions, R);
-
-  // ---- partial aggregation per input partition ----
-  StageSpec partial_stage;
-  partial_stage.name = "partial aggregate";
-  for (uint32_t p = 0; p < in.num_partitions; ++p) {
-    partial_stage.tasks.push_back(TaskSpec{
-        cluster.HomeExecutorFor(in.rdd_id, p),
-        {},
-        0,
-        [&, p](TaskContext& ctx) -> Status {
-          mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
-          ctx.metrics().rows_read += input.num_rows();
-
-          GroupMap groups;
-          for (size_t i = 0; i < input.num_rows(); ++i) {
-            RowVec key;
-            key.reserve(resolved.group_idx.size());
-            for (size_t g : resolved.group_idx) {
-              key.push_back(input.ValueAt(i, g));
-            }
-            GroupState& state =
-                FindOrCreateGroup(groups, std::move(key), aggs_.size());
-            for (size_t a = 0; a < aggs_.size(); ++a) {
-              const Value v =
-                  resolved.agg_idx[a] < 0
-                      ? Value::Int64(1)
-                      : input.ValueAt(
-                            i, static_cast<size_t>(resolved.agg_idx[a]));
-              state.accums[a].AddValue(aggs_[a], v);
-            }
+  return ShuffleAggregate(
+      session, metrics, "partial aggregate", in.rdd_id, in.num_partitions,
+      in.schema, group_by_, aggs_, resolved,
+      [&](TaskContext& ctx, uint32_t p, GroupMap& groups) -> Status {
+        // Declared before `scope`, which unpins it on exit: a chunk
+        // recomputed after its block was dropped has no other owner.
+        ChunkPtr chunk;
+        mem::AccessScope scope;
+        IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+        const ColumnarChunk& input = *chunk;
+        ctx.metrics().rows_read += input.num_rows();
+        for (size_t i = 0; i < input.num_rows(); ++i) {
+          RowVec key;
+          key.reserve(resolved.group_idx.size());
+          for (size_t g : resolved.group_idx) {
+            key.push_back(input.ValueAt(i, g));
           }
-
-          // Serialize partial rows to the shuffle.
-          std::vector<ShuffleBuffer> buffers(R);
-          std::vector<uint8_t> scratch;
-          for (const auto& [code, bucket] : groups) {
-            const uint32_t rp =
-                resolved.group_idx.empty() ? 0 : HashPartition(code, R);
-            for (const GroupState& state : bucket) {
-              RowVec row = resolved.EncodePartial(state, aggs_);
-              Result<uint32_t> size = partial_layout.ComputeRowSize(row);
-              IDF_RETURN_IF_ERROR(size.status());
-              scratch.resize(*size);
-              partial_layout.EncodeRow(row, scratch.data(),
-                                       PackedRowPtr::Null());
-              buffers[rp].AppendRow(scratch.data(), *size);
-            }
+          GroupState& state =
+              FindOrCreateGroup(groups, std::move(key), aggs_.size());
+          for (size_t a = 0; a < aggs_.size(); ++a) {
+            const Value v =
+                resolved.agg_idx[a] < 0
+                    ? Value::Int64(1)
+                    : input.ValueAt(i,
+                                    static_cast<size_t>(resolved.agg_idx[a]));
+            state.accums[a].AddValue(aggs_[a], v);
           }
-          for (uint32_t rp = 0; rp < R; ++rp) {
-            if (buffers[rp].num_rows == 0) continue;
-            buffers[rp].source = ctx.executor();
-            ctx.metrics().shuffle_bytes_written += buffers[rp].bytes.size();
-            cluster.shuffle().PutMapOutput(shuffle_id, p, rp,
-                                           std::move(buffers[rp]));
-          }
-          return Status::OK();
-        },
-        {{in.rdd_id, p}}});
-  }
-  IDF_ASSIGN_OR_RETURN(StageMetrics psm, cluster.RunStage(partial_stage));
-  metrics.MergeStage(psm);
-
-  IDF_ASSIGN_OR_RETURN(
-      TableHandle out,
-      FinalizeAggregation(session, metrics, shuffle_id, R, in.schema,
-                          group_by_, aggs_, resolved));
-  cluster.shuffle().Release(shuffle_id);
-  return out;
+        }
+        return Status::OK();
+      });
 }
 
-Result<TableHandle> FinalizeAggregation(
-    Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
+Result<TableHandle> ShuffleAggregate(
+    Session& session, QueryMetrics& metrics, const std::string& partial_name,
+    uint64_t input_rdd, uint32_t num_partitions,
     const SchemaPtr& input_schema, const std::vector<std::string>& group_by,
     const std::vector<AggSpec>& aggs,
-    const agg_internal::ResolvedAggs& resolved) {
+    const agg_internal::ResolvedAggs& resolved,
+    const PartialAggregateFn& partial) {
   using agg_internal::Accum;
   using agg_internal::FindOrCreateGroup;
   using agg_internal::GroupMap;
@@ -952,6 +895,7 @@ Result<TableHandle> FinalizeAggregation(
 
   Cluster& cluster = session.cluster();
   RowLayout partial_layout(resolved.partial_schema);
+  const uint32_t R = resolved.group_idx.empty() ? 1 : num_partitions;
 
   // Output schema comes from the logical Aggregate node semantics.
   TableHandle fake;
@@ -965,6 +909,44 @@ Result<TableHandle> FinalizeAggregation(
   IDF_ASSIGN_OR_RETURN(Schema out_schema_val, schema_node->OutputSchema());
   auto out_schema = std::make_shared<Schema>(std::move(out_schema_val));
 
+  const uint64_t shuffle_id = cluster.shuffle().NewShuffle(num_partitions, R);
+
+  // Partial aggregation per input partition; partial rows route to their
+  // final partition by group-key hash.
+  StageSpec partial_stage;
+  partial_stage.name = partial_name;
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    partial_stage.tasks.push_back(TaskSpec{
+        cluster.HomeExecutorFor(input_rdd, p),
+        {},
+        0,
+        [&, p](TaskContext& ctx) -> Status {
+          GroupMap groups;
+          IDF_RETURN_IF_ERROR(partial(ctx, p, groups));
+          ShuffleWriter writer(cluster.shuffle(), shuffle_id, p, R,
+                               ctx.executor(), groups.size());
+          std::vector<uint8_t> scratch;
+          for (const auto& [code, bucket] : groups) {
+            const uint32_t rp =
+                resolved.group_idx.empty() ? 0 : HashPartition(code, R);
+            for (const GroupState& state : bucket) {
+              RowVec row = resolved.EncodePartial(state, aggs);
+              IDF_ASSIGN_OR_RETURN(uint32_t size,
+                                   partial_layout.ComputeRowSize(row));
+              scratch.resize(size);
+              partial_layout.EncodeRow(row, scratch.data(),
+                                       PackedRowPtr::Null());
+              IDF_RETURN_IF_ERROR(writer.Append(rp, scratch.data(), size));
+            }
+          }
+          IDF_RETURN_IF_ERROR(writer.Finish());
+          ctx.metrics().shuffle_bytes_written += writer.bytes_written();
+          return Status::OK();
+        },
+        {{input_rdd, p}}});
+  }
+
+  // Final merge per group-key partition.
   TableSink sink(session, out_schema, R);
   StageSpec final_stage;
   final_stage.name = "final aggregate";
@@ -974,17 +956,19 @@ Result<TableHandle> FinalizeAggregation(
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          auto inputs = cluster.shuffle().FetchReduceInputs(shuffle_id, rp);
+          RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, rp);
           GroupMap groups;
-          for (const auto& buf : inputs) {
-            ctx.AddRead(buf->source, buf->bytes.size());
+          for (;;) {
+            IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
+                                 in.Next());
+            if (buf == nullptr) break;
             ShuffleBufferReader reader(*buf);
             while (reader.HasNext()) {
               const uint8_t* row = reader.Next();
-              RowVec partial = partial_layout.DecodeRow(row);
+              RowVec partial_row = partial_layout.DecodeRow(row);
               RowVec key;
               std::vector<Accum> others;
-              resolved.DecodePartial(partial, &key, &others);
+              resolved.DecodePartial(partial_row, &key, &others);
               GroupState& state =
                   FindOrCreateGroup(groups, std::move(key), aggs.size());
               for (size_t a = 0; a < aggs.size(); ++a) {
@@ -1017,8 +1001,10 @@ Result<TableHandle> FinalizeAggregation(
         },
         {}});
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics fsm, cluster.RunStage(final_stage));
-  metrics.MergeStage(fsm);
+  IDF_ASSIGN_OR_RETURN(
+      StageMetrics sm,
+      cluster.RunShuffleStages(shuffle_id, partial_stage, final_stage));
+  metrics.MergeStage(sm);
   return sink.Finish();
 }
 

@@ -10,11 +10,13 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "sql/agg_internal.h"
 #include "sql/columnar.h"
 #include "sql/plan.h"
 #include "sql/table.h"
@@ -22,6 +24,7 @@
 namespace idf {
 
 class Session;
+class TaskContext;
 
 class PhysicalOp {
  public:
@@ -242,18 +245,21 @@ class TableSink {
 void AppendJoinedRow(ColumnarChunk& out, const ColumnarChunk& left, size_t li,
                      const ColumnarChunk& right, size_t ri);
 
-namespace agg_internal {
-struct ResolvedAggs;
-}
+/// Folds one input partition into per-group partial accumulators.
+using PartialAggregateFn = std::function<Status(
+    TaskContext& ctx, uint32_t partition, agg_internal::GroupMap& groups)>;
 
-/// Final-merge phase of a two-phase aggregation: consumes the partial rows
-/// written to `shuffle_id` (R reduce partitions, schema per `resolved`) and
-/// materializes the aggregate output. Shared by HashAggExec and the Indexed
-/// DataFrame's row-direct aggregation.
-Result<TableHandle> FinalizeAggregation(
-    Session& session, QueryMetrics& metrics, uint64_t shuffle_id, uint32_t R,
+/// Two-phase aggregation over the `num_partitions` partitions of
+/// `input_rdd`: `partial` aggregates each partition (stage `partial_name`),
+/// the partial rows (schema per `resolved`) shuffle by group-key hash, and a
+/// final merge materializes the aggregate output — one fused shuffle stage.
+/// Shared by HashAggExec and the Indexed DataFrame's row-direct aggregation.
+Result<TableHandle> ShuffleAggregate(
+    Session& session, QueryMetrics& metrics, const std::string& partial_name,
+    uint64_t input_rdd, uint32_t num_partitions,
     const SchemaPtr& input_schema, const std::vector<std::string>& group_by,
     const std::vector<AggSpec>& aggs,
-    const agg_internal::ResolvedAggs& resolved);
+    const agg_internal::ResolvedAggs& resolved,
+    const PartialAggregateFn& partial);
 
 }  // namespace idf

@@ -299,7 +299,6 @@ TEST(ChaosTest, DoubleExecutorLossDuringPipelinedShuffleSalvagesExactly) {
   // (spill files co-owned by the catalog) plus lineage recompute must hand
   // back byte-identical rows — at worst after one clean retry.
   constexpr int64_t kRows = 20000;
-  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
   mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
@@ -368,7 +367,6 @@ TEST(ChaosTest, DoubleExecutorLossDuringPipelinedShuffleSalvagesExactly) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(retried->SortedRowStrings(), expected);
   EXPECT_GT(CounterValue("mem.salvage.segments"), salvaged_before);
-  ::unsetenv("IDF_SHUFFLE_PIPELINE");
 }
 
 // ---- admission-queue churn storm --------------------------------------------
@@ -474,7 +472,9 @@ TEST(ChaosTest, AdmissionChurnStormLeavesNoReservationAndDrainsQueue) {
                    chaos::ChaosEngine::Global().faults_injected()));
 
   // The shared state survived the storm: the same queries, clean, still
-  // return the reference bytes.
+  // return the reference bytes. Clean means disarmed — an armed engine can
+  // still fail a reload here.
+  chaos::ChaosEngine::Global().Disarm();
   EXPECT_EQ(indexed.GetRows(Value::Int64(29)).value().rows.size(),
             expected_hits);
   EXPECT_EQ(indexed.Join(probe, "src").Collect()->SortedRowStrings(),

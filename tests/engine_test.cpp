@@ -10,6 +10,7 @@
 #include <cstring>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "engine/block.h"
 #include "engine/cluster.h"
@@ -356,31 +357,69 @@ ShuffleBuffer MakeBuffer(std::initializer_list<uint32_t> row_sizes,
   return buf;
 }
 
+/// What one reduce partition's stream delivered: the buffers, the map task
+/// behind each, and the per-map network reads the stream declared.
+struct Drained {
+  std::vector<std::shared_ptr<const ShuffleBuffer>> buffers;
+  std::vector<uint32_t> maps;
+  std::vector<std::pair<ExecutorId, uint64_t>> reads;
+};
+
+Drained Drain(ShuffleService& svc, uint64_t id, uint32_t reduce_part) {
+  Drained out;
+  RoutedBufferStream in(
+      svc, id, reduce_part, /*idle=*/[] { return false; },
+      [&out](ExecutorId source, uint64_t bytes) {
+        out.reads.emplace_back(source, bytes);
+      });
+  for (;;) {
+    auto buf = in.Next();
+    IDF_CHECK_OK(buf.status());
+    if (*buf == nullptr) break;
+    out.maps.push_back(in.map_task());
+    out.buffers.push_back(std::move(*buf));
+  }
+  return out;
+}
+
+using Reads = std::vector<std::pair<ExecutorId, uint64_t>>;
+
 TEST(ShuffleServiceTest, MapOutputsRoutedToReducers) {
   ShuffleService svc;
   const uint64_t id = svc.NewShuffle(2, 2);
-  svc.PutMapOutput(id, 0, 0, MakeBuffer({32, 48}, 0));
-  svc.PutMapOutput(id, 0, 1, MakeBuffer({16}, 0));
-  svc.PutMapOutput(id, 1, 0, MakeBuffer({64}, 1));
+  // Pushed out of map order; delivery is map-ordered regardless.
+  ASSERT_TRUE(svc.PushMapOutput(id, 1, 0, MakeBuffer({64}, 1)));
+  ASSERT_TRUE(svc.PushMapOutput(id, 0, 0, MakeBuffer({32, 48}, 0)));
+  ASSERT_TRUE(svc.PushMapOutput(id, 0, 1, MakeBuffer({16}, 0)));
+  svc.MapTaskFinished(id, 0);
+  svc.MapTaskFinished(id, 1);
+  // Nothing drained yet: every pushed byte is in flight.
+  EXPECT_EQ(svc.InflightPeakBytes(id), 160u);
 
-  auto r0 = svc.FetchReduceInputs(id, 0);
-  ASSERT_EQ(r0.size(), 2u);
-  EXPECT_EQ(r0[0]->num_rows, 2u);
-  EXPECT_EQ(r0[1]->num_rows, 1u);
-  EXPECT_EQ(svc.BytesForReduce(id, 0), 32u + 48 + 64);
+  const Drained r0 = Drain(svc, id, 0);
+  ASSERT_EQ(r0.buffers.size(), 2u);
+  EXPECT_EQ(r0.buffers[0]->num_rows, 2u);
+  EXPECT_EQ(r0.buffers[1]->num_rows, 1u);
+  EXPECT_EQ(r0.maps, (std::vector<uint32_t>{0, 1}));
+  // One read per non-empty (map, reduce) pair, in map order.
+  EXPECT_EQ(r0.reads, (Reads{{0, 32u + 48}, {1, 64}}));
 
-  auto r1 = svc.FetchReduceInputs(id, 1);
-  ASSERT_EQ(r1.size(), 1u);
-  EXPECT_EQ(svc.BytesForReduce(id, 1), 16u);
-  EXPECT_EQ(svc.TotalBytes(id), 160u);
+  const Drained r1 = Drain(svc, id, 1);
+  ASSERT_EQ(r1.buffers.size(), 1u);
+  EXPECT_EQ(r1.reads, (Reads{{0, 16}}));
+  svc.Release(id);
 }
 
 TEST(ShuffleServiceTest, EmptyOutputsSkipped) {
   ShuffleService svc;
   const uint64_t id = svc.NewShuffle(3, 1);
-  svc.PutMapOutput(id, 1, 0, MakeBuffer({24}, 0));
-  auto inputs = svc.FetchReduceInputs(id, 0);
-  EXPECT_EQ(inputs.size(), 1u);
+  ASSERT_TRUE(svc.PushMapOutput(id, 1, 0, MakeBuffer({24}, 0)));
+  for (uint32_t m = 0; m < 3; ++m) svc.MapTaskFinished(id, m);
+  const Drained inputs = Drain(svc, id, 0);
+  EXPECT_EQ(inputs.buffers.size(), 1u);
+  EXPECT_EQ(inputs.maps, (std::vector<uint32_t>{1}));
+  EXPECT_EQ(inputs.reads, (Reads{{0, 24}}));
+  svc.Release(id);
 }
 
 TEST(ShuffleServiceTest, ReaderWalksRows) {
@@ -399,9 +438,9 @@ TEST(ShuffleServiceTest, ReaderWalksRows) {
 TEST(ShuffleServiceTest, ReleaseFreesShuffle) {
   ShuffleService svc;
   const uint64_t id = svc.NewShuffle(1, 1);
-  svc.PutMapOutput(id, 0, 0, MakeBuffer({32}, 0));
+  ASSERT_TRUE(svc.PushMapOutput(id, 0, 0, MakeBuffer({32}, 0)));
   svc.Release(id);
-  EXPECT_DEATH(svc.BytesForReduce(id, 0), "unknown shuffle");
+  EXPECT_DEATH(svc.InflightPeakBytes(id), "unknown shuffle");
 }
 
 // ---- Cluster facade --------------------------------------------------------------

@@ -282,7 +282,13 @@ TEST(PressureTest, DoubleExecutorLossWithForcedEvictionStillRecovers) {
   IndexOptions index_options;
   index_options.batch_capacity = 16 << 10;
 
-  Session session(ClusterOptions(256 << 10));
+  // Sequential: the forced evictions below can only prove themselves
+  // (forced > 0) on partitions still resident on a surviving executor, and
+  // which partitions the budgeted build leaves resident must not depend on
+  // the order parallel tasks happen to finish in.
+  SessionOptions options = ClusterOptions(256 << 10);
+  options.cluster.scheduler_threads = 1;
+  Session session(options);
   auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(kRows));
   auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
   ASSERT_GT(CounterValue("mem.evictions"), 0u);

@@ -380,7 +380,6 @@ TEST(ServerTest, CancelMidStageReleasesEverythingAndSparesNeighbors) {
 
 TEST(ServerTest, CancelMidPipelinedAppendLeavesNoOrphanVersion) {
   constexpr int64_t kRows = 6000;
-  ::setenv("IDF_SHUFFLE_PIPELINE", "1", 1);
   Session session(ServeClusterOptions());
   IndexOptions index_options;
   index_options.batch_capacity = 4 << 10;

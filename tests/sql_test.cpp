@@ -365,7 +365,9 @@ TEST(SqlJoinTest, JoinMetricsShowShuffleOrBroadcast) {
   EXPECT_GT(metrics.totals.shuffle_bytes_written, 0u);
   EXPECT_GT(metrics.totals.hash_build_seconds, 0.0);
   EXPECT_GT(metrics.simulated_seconds, 0.0);
-  EXPECT_GT(metrics.num_stages, 1u);
+  // Both inputs' map tasks and the reduce tasks run as one fused shuffle
+  // stage.
+  EXPECT_EQ(metrics.num_stages, 1u);
 }
 
 // ---- execution: aggregates ------------------------------------------------------
