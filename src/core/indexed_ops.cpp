@@ -127,8 +127,11 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
     for (uint32_t p = 0; p < probe.num_partitions; ++p) {
       // Per-chunk pin scope: the row loop reads the chunk many times and
       // must not re-fault it between rows under a tight budget.
+      // Declared before `bucket_scope`, which unpins it on exit: a chunk
+      // recomputed after its block was dropped has no other owner.
+      ChunkPtr chunk;
       mem::AccessScope bucket_scope;
-      IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(driver_ctx, probe, p));
+      IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(driver_ctx, probe, p));
       std::vector<uint8_t> scratch;
       for (size_t i = 0; i < chunk->num_rows(); ++i) {
         if (chunk->column(probe_key).IsNull(i)) continue;

@@ -8,6 +8,7 @@
 #include "mem/governor.h"
 #include "obs/trace.h"
 #include "sql/agg_internal.h"
+#include "sql/join_key.h"
 #include "sql/session.h"
 #include "storage/row_layout.h"
 
@@ -227,10 +228,6 @@ void AppendColumnsFromBinary(ColumnarChunk& out, size_t offset,
   }
 }
 
-/// Exact key equality for join verification when key codes can collide
-/// (strings and doubles hash into their code).
-bool KeysReallyEqual(const Value& a, const Value& b) { return a == b; }
-
 /// Appends `count` null cells starting at column `offset` (left-outer
 /// padding for unmatched rows).
 void AppendNullColumns(ColumnarChunk& out, size_t offset, size_t count) {
@@ -350,10 +347,12 @@ Result<TableHandle> FilterExec::ExecuteImpl(Session& session,
         [&, p](TaskContext& ctx) -> Status {
           // Keep the input chunk pinned for the whole body: column
           // references are held across appends that may trigger eviction.
+          // Declared before `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr chunk;
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
           auto out = std::make_shared<ColumnarChunk>(in.schema);
@@ -412,10 +411,12 @@ Result<TableHandle> ProjectExec::ExecuteImpl(Session& session,
         {},
         0,
         [&, p](TaskContext& ctx) -> Status {
+          // Declared before `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr chunk;
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
           ctx.metrics().rows_read += input.num_rows();
 
           // Columnar projection: copy whole column vectors — no row work.
@@ -457,6 +458,9 @@ Result<TableHandle> JoinExec::ExecuteImpl(Session& session,
                        children_[1]->Execute(session, metrics));
   IDF_ASSIGN_OR_RETURN(size_t lkey, lh.schema->FieldIndex(left_key_));
   IDF_ASSIGN_OR_RETURN(size_t rkey, rh.schema->FieldIndex(right_key_));
+  IDF_ASSIGN_OR_RETURN(JoinKeyClass key_class,
+                       JoinKeyClassOf(lh.schema->field(lkey).type,
+                                      rh.schema->field(rkey).type));
 
   Mode mode = mode_;
   // Left-outer joins must probe with the left side so its unmatched rows
@@ -469,22 +473,26 @@ Result<TableHandle> JoinExec::ExecuteImpl(Session& session,
                ? Mode::kBroadcastHash
                : Mode::kShuffledHash;
   }
-  switch (mode) {
-    case Mode::kBroadcastHash:
-      return BroadcastHashJoin(session, lh, rh, lkey, rkey, build_left,
-                               metrics);
-    case Mode::kShuffledHash:
-      return ShuffledJoin(session, lh, rh, lkey, rkey, /*sort_merge=*/false,
-                          metrics);
-    case Mode::kSortMerge:
-      return ShuffledJoin(session, lh, rh, lkey, rkey, /*sort_merge=*/true,
-                          metrics);
-    case Mode::kAuto:
-      break;
-  }
-  return Status::Internal("unresolved join mode");
+  return VisitJoinKeys(key_class, [&](auto keys) -> Result<TableHandle> {
+    using Keys = decltype(keys);
+    switch (mode) {
+      case Mode::kBroadcastHash:
+        return BroadcastHashJoin<Keys>(session, lh, rh, lkey, rkey,
+                                       build_left, metrics);
+      case Mode::kShuffledHash:
+        return ShuffledJoin<Keys>(session, lh, rh, lkey, rkey,
+                                  /*sort_merge=*/false, metrics);
+      case Mode::kSortMerge:
+        return ShuffledJoin<Keys>(session, lh, rh, lkey, rkey,
+                                  /*sort_merge=*/true, metrics);
+      case Mode::kAuto:
+        break;
+    }
+    return Status::Internal("unresolved join mode");
+  });
 }
 
+template <typename Keys>
 Result<TableHandle> JoinExec::BroadcastHashJoin(
     Session& session, const TableHandle& lh, const TableHandle& rh,
     size_t lkey, size_t rkey, bool build_left, QueryMetrics& metrics) const {
@@ -495,32 +503,39 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   const size_t probe_key = build_left ? rkey : lkey;
   auto out_schema =
       std::make_shared<Schema>(lh.schema->ConcatForJoin(*rh.schema));
-  const bool verify =
-      KeyCodeNeedsVerify(build.schema->field(build_key).type) ||
-      KeyCodeNeedsVerify(probe.schema->field(probe_key).type);
 
   // Driver collects the build side and constructs the hash table once —
   // vanilla Spark rebuilds this on *every* query execution (Fig. 1's story).
   TaskContext driver_ctx(&cluster, cluster.AliveExecutors().front());
   std::vector<ChunkPtr> build_chunks;
-  // The build loop below holds column references while walking *several*
-  // chunks; a scope keeps every build chunk pinned until the table is up.
+  // Each probe task parks its chunk here. With one scheduler thread the
+  // tasks run inline under `build_scope`, which then holds their pins, so
+  // the chunks must outlive it.
+  std::vector<ChunkPtr> probe_chunks(probe.num_partitions);
+  // String build keys view the build chunks' arenas until the probe stage
+  // ends; a scope keeps every build chunk pinned for the whole join.
   mem::AccessScope build_scope;
   for (uint32_t p = 0; p < build.num_partitions; ++p) {
     IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(driver_ctx, build, p));
     build_chunks.push_back(std::move(chunk));
   }
 
+  // Every build key is read once; the table maps key codes to indices into
+  // `build_keys`, whose rows pack (chunk, row).
   Stopwatch build_timer;
-  std::unordered_map<uint64_t, std::vector<uint64_t>> hash_table;
+  std::vector<KeyedRow<Keys, uint64_t>> build_keys;
+  build_keys.reserve(build.num_rows);
+  std::unordered_map<uint64_t, std::vector<uint32_t>> hash_table;
   hash_table.reserve(build.num_rows);
   for (size_t ci = 0; ci < build_chunks.size(); ++ci) {
     const ColumnarChunk& chunk = *build_chunks[ci];
     const ColumnVector& key_col = chunk.column(build_key);
     for (size_t ri = 0; ri < chunk.num_rows(); ++ri) {
       if (key_col.IsNull(ri)) continue;  // inner join drops null keys
-      hash_table[key_col.KeyCodeAt(ri)].push_back(
-          (static_cast<uint64_t>(ci) << 32) | ri);
+      const typename Keys::Key key = Keys::Read(key_col, ri);
+      hash_table[Keys::Code(key)].push_back(
+          static_cast<uint32_t>(build_keys.size()));
+      build_keys.push_back({key, (static_cast<uint64_t>(ci) << 32) | ri});
     }
   }
   const double build_seconds = build_timer.ElapsedSeconds();
@@ -559,10 +574,12 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
           // Pins the probe chunk AND every build chunk touched below — the
           // body holds `key_col` across reads of other chunks, so transient
           // pins alone would not keep the probe chunk resident.
+          // `chunk` outlives `scope`, which unpins it on exit: a chunk
+          // recomputed after its block was dropped has no other owner.
+          ChunkPtr& chunk = probe_chunks[p];
           mem::AccessScope scope;
-          Result<ChunkPtr> chunk = FetchChunk(ctx, probe, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& probe_chunk = **chunk;
+          IDF_ASSIGN_OR_RETURN(chunk, FetchChunk(ctx, probe, p));
+          const ColumnarChunk& probe_chunk = *chunk;
           const ColumnVector& key_col = probe_chunk.column(probe_key);
           ctx.metrics().rows_read += probe_chunk.num_rows();
 
@@ -580,19 +597,16 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
               if (outer) emit_unmatched(ri);
               continue;
             }
-            auto it = hash_table.find(key_col.KeyCodeAt(ri));
+            const typename Keys::Key key = Keys::Read(key_col, ri);
+            auto it = hash_table.find(Keys::Code(key));
             bool matched = false;
             if (it != hash_table.end()) {
-              for (uint64_t packed : it->second) {
-                const size_t bci = packed >> 32;
-                const size_t bri = packed & 0xffffffffu;
-                const ColumnarChunk& bchunk = *build_chunks[bci];
-                if (verify &&
-                    !KeysReallyEqual(bchunk.ValueAt(bri, build_key),
-                                     probe_chunk.ValueAt(ri, probe_key))) {
-                  continue;
-                }
+              for (uint32_t bi : it->second) {
+                const KeyedRow<Keys, uint64_t>& b = build_keys[bi];
+                if (!Keys::Equal(b.key, key)) continue;
                 matched = true;
+                const ColumnarChunk& bchunk = *build_chunks[b.row >> 32];
+                const size_t bri = b.row & 0xffffffffu;
                 if (build_left) {
                   AppendJoinedRow(*out, bchunk, bri, probe_chunk, ri);
                 } else {
@@ -613,11 +627,13 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   return sink.Finish();
 }
 
+template <typename Keys>
 Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
                                            const TableHandle& lh,
                                            const TableHandle& rh, size_t lkey,
                                            size_t rkey, bool sort_merge,
                                            QueryMetrics& metrics) const {
+  using Row = KeyedRow<Keys>;
   Cluster& cluster = session.cluster();
   const uint32_t L = lh.num_partitions;
   const uint32_t R = std::max(L, rh.num_partitions);
@@ -625,8 +641,6 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
       std::make_shared<Schema>(lh.schema->ConcatForJoin(*rh.schema));
   RowLayout llayout(lh.schema);
   RowLayout rlayout(rh.schema);
-  const bool verify = KeyCodeNeedsVerify(lh.schema->field(lkey).type) ||
-                      KeyCodeNeedsVerify(rh.schema->field(rkey).type);
   const bool outer = join_type_ == JoinType::kLeftOuter;
 
   // One shuffle over both inputs: map tasks [0, L) route the left
@@ -671,7 +685,7 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
           for (size_t i = 0; i < input.num_rows() && routed.ok(); ++i) {
             uint32_t rp = 0;
             if (!key_col.IsNull(i)) {
-              rp = HashPartition(key_col.KeyCodeAt(i), R);
+              rp = HashPartition(Keys::Code(Keys::Read(key_col, i)), R);
             } else if (!keep_null_keys) {
               continue;
             }
@@ -699,22 +713,31 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
         {},
         0,
         [&, rp](TaskContext& ctx) -> Status {
-          // Collect row pointers per side; `held` keeps their buffers alive.
+          // Collect row pointers per side; `held` keeps their buffers (and
+          // the string keys viewing them) alive. Null keys arrive only from
+          // the left side of a left-outer join and match nothing.
           RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, rp);
           std::vector<std::shared_ptr<const ShuffleBuffer>> held;
           std::vector<const uint8_t*> lrows;
           std::vector<const uint8_t*> rrows;
+          std::vector<const uint8_t*> null_lrows;
           for (;;) {
             IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
                                  in.Next());
             if (buf == nullptr) break;
-            std::vector<const uint8_t*>& rows =
-                in.map_task() < L ? lrows : rrows;
+            const bool left = in.map_task() < L;
+            const RowLayout& layout = left ? llayout : rlayout;
+            const size_t key = left ? lkey : rkey;
+            std::vector<const uint8_t*>& rows = left ? lrows : rrows;
             ShuffleBufferReader reader(*buf);
-            while (reader.HasNext()) rows.push_back(reader.Next());
+            while (reader.HasNext()) {
+              const uint8_t* row = reader.Next();
+              (layout.IsNull(row, key) ? null_lrows : rows).push_back(row);
+            }
             held.push_back(std::move(buf));
           }
-          ctx.metrics().rows_read += lrows.size() + rrows.size();
+          ctx.metrics().rows_read +=
+              lrows.size() + rrows.size() + null_lrows.size();
 
           auto out = std::make_shared<ColumnarChunk>(out_schema);
           auto emit = [&](const uint8_t* lrow, const uint8_t* rrow) {
@@ -727,52 +750,42 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
             AppendNullColumns(*out, lh.schema->num_fields(),
                               rh.schema->num_fields());
           };
+          for (const uint8_t* row : null_lrows) emit_left_only(row);
 
           if (sort_merge) {
-            // Sort both sides by key value, then merge equal-key groups.
-            auto sort_side = [](std::vector<const uint8_t*>& rows,
-                                const RowLayout& layout, size_t key) {
-              std::sort(rows.begin(), rows.end(),
-                        [&](const uint8_t* a, const uint8_t* b) {
-                          return layout.GetValue(a, key)
-                                     .Compare(layout.GetValue(b, key)) < 0;
-                        });
-            };
-            sort_side(lrows, llayout, lkey);
-            sort_side(rrows, rlayout, rkey);
+            // Sort both sides by key, then merge equal-key groups. Stable,
+            // so ties keep stream arrival order and the output depends only
+            // on the (map id, seal seq) stream.
+            const std::vector<Row> lkeyed =
+                SortedByKey<Keys>(std::move(lrows), llayout, lkey);
+            const std::vector<Row> rkeyed =
+                SortedByKey<Keys>(std::move(rrows), rlayout, rkey);
             size_t li = 0, ri = 0;
-            while (li < lrows.size() && ri < rrows.size()) {
-              const Value lv = llayout.GetValue(lrows[li], lkey);
-              const Value rv = rlayout.GetValue(rrows[ri], rkey);
-              // Null left keys sort first and never match.
-              if (lv.is_null()) {
-                if (outer) emit_left_only(lrows[li]);
+            while (li < lkeyed.size() && ri < rkeyed.size()) {
+              const auto& lk = lkeyed[li].key;
+              const auto& rk = rkeyed[ri].key;
+              if (Keys::Less(lk, rk)) {
+                if (outer) emit_left_only(lkeyed[li].row);
                 ++li;
-                continue;
-              }
-              if (rv.is_null()) {
+              } else if (Keys::Less(rk, lk)) {
                 ++ri;
-                continue;
-              }
-              const int cmp = lv.Compare(rv);
-              if (cmp < 0) {
-                if (outer) emit_left_only(lrows[li]);
+              } else if (!Keys::Equal(lk, rk)) {
+                // Ordered together but equal to nothing (NaN).
+                if (outer) emit_left_only(lkeyed[li].row);
                 ++li;
-              } else if (cmp > 0) {
-                ++ri;
               } else {
-                size_t lend = li, rend = ri;
-                while (lend < lrows.size() &&
-                       llayout.GetValue(lrows[lend], lkey).Compare(lv) == 0) {
+                size_t lend = li + 1, rend = ri + 1;
+                while (lend < lkeyed.size() &&
+                       Keys::Equal(lkeyed[lend].key, lk)) {
                   ++lend;
                 }
-                while (rend < rrows.size() &&
-                       rlayout.GetValue(rrows[rend], rkey).Compare(rv) == 0) {
+                while (rend < rkeyed.size() &&
+                       Keys::Equal(rkeyed[rend].key, rk)) {
                   ++rend;
                 }
                 for (size_t a = li; a < lend; ++a) {
                   for (size_t b = ri; b < rend; ++b) {
-                    emit(lrows[a], rrows[b]);
+                    emit(lkeyed[a].row, rkeyed[b].row);
                   }
                 }
                 li = lend;
@@ -780,48 +793,45 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
               }
             }
             if (outer) {
-              for (; li < lrows.size(); ++li) emit_left_only(lrows[li]);
+              for (; li < lkeyed.size(); ++li) emit_left_only(lkeyed[li].row);
             }
           } else {
-            // Hash join: build on the configured build side.
-            const auto& build_rows = build_left ? lrows : rrows;
-            const auto& probe_rows = build_left ? rrows : lrows;
-            const RowLayout& blayout = build_left ? llayout : rlayout;
+            // Hash join: build on the configured build side; the table maps
+            // key codes to indices into `build`. Probe keys are read once,
+            // as each probe row is looked up.
+            const std::vector<Row> build =
+                ReadKeys<Keys>(build_left ? lrows : rrows,
+                               build_left ? llayout : rlayout,
+                               build_left ? lkey : rkey);
+            const std::vector<const uint8_t*>& probe_rows =
+                build_left ? rrows : lrows;
             const RowLayout& playout = build_left ? rlayout : llayout;
-            const size_t bkey = build_left ? lkey : rkey;
             const size_t pkey = build_left ? rkey : lkey;
 
             Stopwatch build_timer;
-            std::unordered_map<uint64_t, std::vector<const uint8_t*>> ht;
-            ht.reserve(build_rows.size());
-            for (const uint8_t* row : build_rows) {
-              ht[blayout.KeyCode(row, bkey)].push_back(row);
+            std::unordered_map<uint64_t, std::vector<uint32_t>> ht;
+            ht.reserve(build.size());
+            for (size_t i = 0; i < build.size(); ++i) {
+              ht[Keys::Code(build[i].key)].push_back(static_cast<uint32_t>(i));
             }
             ctx.metrics().hash_build_seconds += build_timer.ElapsedSeconds();
 
             for (const uint8_t* prow : probe_rows) {
-              // With outer joins the probe side is always the left relation.
-              if (playout.IsNull(prow, pkey)) {
-                if (outer) emit_left_only(prow);
-                continue;
-              }
-              auto it = ht.find(playout.KeyCode(prow, pkey));
+              const typename Keys::Key key = Keys::Read(playout, prow, pkey);
+              auto it = ht.find(Keys::Code(key));
               bool matched = false;
               if (it != ht.end()) {
-                for (const uint8_t* brow : it->second) {
-                  if (verify &&
-                      !KeysReallyEqual(blayout.GetValue(brow, bkey),
-                                       playout.GetValue(prow, pkey))) {
-                    continue;
-                  }
+                for (uint32_t bi : it->second) {
+                  if (!Keys::Equal(build[bi].key, key)) continue;
                   matched = true;
                   if (build_left) {
-                    emit(brow, prow);
+                    emit(build[bi].row, prow);
                   } else {
-                    emit(prow, brow);
+                    emit(prow, build[bi].row);
                   }
                 }
               }
+              // With outer joins the probe side is always the left relation.
               if (outer && !matched) emit_left_only(prow);
             }
           }
@@ -1082,19 +1092,20 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
       {},
       0,
       [&](TaskContext& ctx) -> Status {
+        // Gather (chunk, row) references across all partitions, then sort.
+        // `chunks` is declared before `scope`, which unpins them on exit: a
+        // chunk recomputed after its block was dropped has no other owner.
+        std::vector<ChunkPtr> chunks;
         // One task touches every partition; pin them all for the sort.
         mem::AccessScope scope;
-        // Gather (chunk, row) references across all partitions, then sort.
-        std::vector<ChunkPtr> chunks;
         std::vector<std::pair<uint32_t, uint32_t>> refs;
         for (uint32_t p = 0; p < in.num_partitions; ++p) {
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
+          IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(ctx, in, p));
           const uint32_t ci = static_cast<uint32_t>(chunks.size());
-          for (size_t i = 0; i < (*chunk)->num_rows(); ++i) {
+          for (size_t i = 0; i < chunk->num_rows(); ++i) {
             refs.emplace_back(ci, static_cast<uint32_t>(i));
           }
-          chunks.push_back(std::move(*chunk));
+          chunks.push_back(std::move(chunk));
         }
         ctx.metrics().rows_read += refs.size();
 
@@ -1143,13 +1154,16 @@ Result<TableHandle> LimitExec::ExecuteImpl(Session& session,
       {},
       0,
       [&](TaskContext& ctx) -> Status {
+        // Declared before `scope`, which unpins them on exit: a chunk
+        // recomputed after its block was dropped has no other owner.
+        std::vector<ChunkPtr> chunks;
         mem::AccessScope scope;
         auto out = std::make_shared<ColumnarChunk>(in.schema);
         uint64_t taken = 0;
         for (uint32_t p = 0; p < in.num_partitions && taken < limit_; ++p) {
-          Result<ChunkPtr> chunk = FetchChunk(ctx, in, p);
-          IDF_RETURN_IF_ERROR(chunk.status());
-          const ColumnarChunk& input = **chunk;
+          IDF_ASSIGN_OR_RETURN(ChunkPtr chunk, FetchChunk(ctx, in, p));
+          const ColumnarChunk& input = *chunk;
+          chunks.push_back(std::move(chunk));
           for (size_t i = 0; i < input.num_rows() && taken < limit_;
                ++i, ++taken) {
             AppendRowCopy(*out, input, i);

@@ -134,10 +134,13 @@ class JoinExec final : public PhysicalOp {
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
  private:
+  // `Keys` is the typed key kernel of the join's key class (sql/join_key.h).
+  template <typename Keys>
   Result<TableHandle> BroadcastHashJoin(Session& session, const TableHandle& l,
                                         const TableHandle& r, size_t lkey,
                                         size_t rkey, bool build_left,
                                         QueryMetrics& metrics) const;
+  template <typename Keys>
   Result<TableHandle> ShuffledJoin(Session& session, const TableHandle& l,
                                    const TableHandle& r, size_t lkey,
                                    size_t rkey, bool sort_merge,

@@ -1,5 +1,9 @@
-// Tests for left-outer joins (all three vanilla algorithms) and ORDER BY.
+// Tests for left-outer joins (all three vanilla algorithms), their typed join
+// keys, and ORDER BY.
 #include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
 
 #include "core/indexed_dataframe.h"
 #include "sql/session.h"
@@ -245,6 +249,145 @@ TEST(SortTest, UnknownSortColumnFails) {
   auto df = *session.CreateTable("t", NumSchema(),
                                  {{Value::Int64(1), Value::String("a")}});
   EXPECT_FALSE(df.OrderBy({{"zzz", false}}).Collect().ok());
+}
+
+// ---- typed join keys ----------------------------------------------------------
+
+constexpr JoinExec::Mode kAllModes[] = {JoinExec::Mode::kBroadcastHash,
+                                        JoinExec::Mode::kShuffledHash,
+                                        JoinExec::Mode::kSortMerge};
+
+/// {k, tag} on the left and {rk, rtag} on the right: nullable keys of the
+/// given types, and a tag naming each row.
+SchemaPtr KeyedSchema(const std::string& key, TypeId type) {
+  return std::make_shared<Schema>(Schema({
+      {key, type, true},
+      {key == "k" ? "tag" : "rtag", TypeId::kInt64, false},
+  }));
+}
+
+struct KeyedSide {
+  TypeId type;
+  std::vector<Value> keys;  // row i is tagged i
+};
+
+std::vector<RowVec> KeyedRows(const KeyedSide& side) {
+  std::vector<RowVec> rows;
+  for (size_t i = 0; i < side.keys.size(); ++i) {
+    rows.push_back({side.keys[i], Value::Int64(static_cast<int64_t>(i))});
+  }
+  return rows;
+}
+
+/// The joined rows of `left` and `right` in `mode`, as "ltag:rtag" strings
+/// ("ltag:NULL" for a padded left-outer row), sorted.
+std::vector<std::string> JoinTags(JoinExec::Mode mode, JoinType type,
+                                  const KeyedSide& left,
+                                  const KeyedSide& right) {
+  SessionOptions opts = SmallOptions();
+  opts.join_mode = mode;
+  Session session(opts);
+  auto l = *session.CreateTable("l", KeyedSchema("k", left.type),
+                                KeyedRows(left));
+  auto r = *session.CreateTable("r", KeyedSchema("rk", right.type),
+                                KeyedRows(right));
+  auto result = l.Join(r, "k", "rk", type).Collect();
+  IDF_CHECK_OK(result.status());
+  std::vector<std::string> tags;
+  for (const RowVec& row : result->rows) {
+    tags.push_back(row[1].ToString() + ":" + row[3].ToString());
+  }
+  std::sort(tags.begin(), tags.end());
+  return tags;
+}
+
+using Tags = std::vector<std::string>;
+
+TEST(JoinKeyTest, Int64KeysAboveTwoTo53CompareExactly) {
+  const int64_t big = int64_t{1} << 53;  // big and big + 1 share a double
+  const KeyedSide lone{TypeId::kInt64, {Value::Int64(big)}};
+  const KeyedSide next{TypeId::kInt64, {Value::Int64(big + 1)}};
+  const KeyedSide both{TypeId::kInt64,
+                       {Value::Int64(big), Value::Int64(big + 1)}};
+  for (JoinExec::Mode mode : kAllModes) {
+    EXPECT_EQ(JoinTags(mode, JoinType::kInner, lone, next), Tags{})
+        << static_cast<int>(mode);
+    EXPECT_EQ(JoinTags(mode, JoinType::kInner, both, next), Tags{"1:0"})
+        << static_cast<int>(mode);
+    EXPECT_EQ(JoinTags(mode, JoinType::kLeftOuter, both, next),
+              (Tags{"0:NULL", "1:0"}))
+        << static_cast<int>(mode);
+  }
+}
+
+TEST(JoinKeyTest, NanKeysNeverMatch) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const KeyedSide left{TypeId::kFloat64,
+                       {Value::Float64(nan), Value::Float64(1.5)}};
+  const KeyedSide right{TypeId::kFloat64,
+                        {Value::Float64(2.5), Value::Float64(nan)}};
+  // NaNs among equal keys and duplicates: only 2.5 = 2.5 matches.
+  const KeyedSide mixed{TypeId::kFloat64,
+                        {Value::Float64(nan), Value::Float64(2.5),
+                         Value::Float64(nan), Value::Float64(1.5)}};
+  for (JoinExec::Mode mode : kAllModes) {
+    EXPECT_EQ(JoinTags(mode, JoinType::kInner, left, right), Tags{})
+        << static_cast<int>(mode);
+    // Left-outer keeps the NaN-key row, padded with nulls.
+    EXPECT_EQ(JoinTags(mode, JoinType::kLeftOuter, left, right),
+              (Tags{"0:NULL", "1:NULL"}))
+        << static_cast<int>(mode);
+    EXPECT_EQ(JoinTags(mode, JoinType::kInner, mixed, right), Tags{"1:0"})
+        << static_cast<int>(mode);
+    EXPECT_EQ(JoinTags(mode, JoinType::kLeftOuter, mixed, right),
+              (Tags{"0:NULL", "1:0", "2:NULL", "3:NULL"}))
+        << static_cast<int>(mode);
+  }
+}
+
+TEST(JoinKeyTest, NegativeZeroJoinsZero) {
+  const KeyedSide left{TypeId::kFloat64, {Value::Float64(-0.0)}};
+  const KeyedSide right{TypeId::kFloat64,
+                        {Value::Float64(0.0), Value::Float64(-0.0)}};
+  for (JoinExec::Mode mode : kAllModes) {
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      EXPECT_EQ(JoinTags(mode, type, left, right), (Tags{"0:0", "0:1"}))
+          << static_cast<int>(mode);
+    }
+  }
+}
+
+TEST(JoinKeyTest, IntegerKeysJoinFloatKeysByValue) {
+  const KeyedSide ints{TypeId::kInt64,
+                       {Value::Int64(1), Value::Int64(2), Value::Int64(3)}};
+  const KeyedSide floats{TypeId::kFloat64,
+                         {Value::Float64(3.0), Value::Float64(2.5),
+                          Value::Float64(1.0)}};
+  for (JoinExec::Mode mode : kAllModes) {
+    EXPECT_EQ(JoinTags(mode, JoinType::kInner, ints, floats),
+              (Tags{"0:2", "2:0"}))
+        << static_cast<int>(mode);
+    EXPECT_EQ(JoinTags(mode, JoinType::kLeftOuter, floats, ints),
+              (Tags{"0:2", "1:NULL", "2:0"}))
+        << static_cast<int>(mode);
+  }
+}
+
+TEST(JoinKeyTest, StringKeyAgainstNumericKeyIsRejected) {
+  for (JoinExec::Mode mode : kAllModes) {
+    SessionOptions opts = SmallOptions();
+    opts.join_mode = mode;
+    Session session(opts);
+    auto l = *session.CreateTable(
+        "l", KeyedSchema("k", TypeId::kString),
+        KeyedRows({TypeId::kString, {Value::String("1")}}));
+    auto r = *session.CreateTable(
+        "r", KeyedSchema("rk", TypeId::kInt64),
+        KeyedRows({TypeId::kInt64, {Value::Int64(1)}}));
+    auto result = l.Join(r, "k", "rk").Collect();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace

@@ -310,6 +310,38 @@ TEST(ShufflePipelineTest, SortMergeJoinIdenticalAcrossThreadCounts) {
   EXPECT_GT(m[0].totals.shuffle_written, 0u);
 }
 
+TEST(ShufflePipelineTest, StringKeySortMergeJoinIdenticalAcrossThreadCounts) {
+  // String keys are views into the reduce task's shuffle buffers; repeated
+  // keys exercise the stable tie order of the sort.
+  auto schema = std::make_shared<Schema>(Schema({
+      {"name", TypeId::kString, true},
+      {"event", TypeId::kInt64, false},
+      {"score", TypeId::kFloat64, true},
+  }));
+  auto named = [](std::vector<RowVec> rows) {
+    for (RowVec& row : rows) {
+      row[0] = row[0].is_null()
+                   ? Value::Null(TypeId::kString)
+                   : Value::String("user-" + row[0].ToString());
+    }
+    return rows;
+  };
+  SessionOptions opts = ClusterOptions();
+  opts.broadcast_threshold_bytes = 0;
+  opts.join_mode = JoinExec::Mode::kSortMerge;
+  const auto m = RunMatrix(
+      [&](Session& session) {
+        auto left = *session.CreateTable(
+            "left", schema, named(MakeRowsWithNullKeys(5000, 3, 17)));
+        auto right = *session.CreateTable(
+            "right", schema, named(MakeRowsWithNullKeys(1200, 5, 11)));
+        return CollectQuery(left.Join(right, "name", "name"));
+      },
+      opts);
+  ExpectRowsIdentical(m);
+  EXPECT_GT(m[0].totals.shuffle_written, 0u);
+}
+
 TEST(ShufflePipelineTest, LeftOuterJoinWithNullKeysIdenticalAcrossThreadCounts) {
   for (JoinExec::Mode mode :
        {JoinExec::Mode::kShuffledHash, JoinExec::Mode::kSortMerge}) {

@@ -317,6 +317,71 @@ TEST(SqlJoinTest, AllJoinModesProduceIdenticalResults) {
   }
 }
 
+/// A random key of `type` drawn from 12 values (so keys repeat), NULL one
+/// time in ten. Integers i and doubles i * 1.0 name the same key.
+Value RandomKey(Rng& rng, TypeId type) {
+  if (rng.Below(10) == 0) return Value::Null(type);
+  const int64_t v = static_cast<int64_t>(rng.Below(12));
+  switch (type) {
+    case TypeId::kInt32: return Value::Int32(static_cast<int32_t>(v));
+    case TypeId::kInt64: return Value::Int64(v);
+    case TypeId::kFloat64: return Value::Float64(static_cast<double>(v));
+    case TypeId::kString: return Value::String("key-" + std::to_string(v));
+    case TypeId::kBool: break;
+  }
+  return Value::Bool(v % 2 == 0);
+}
+
+TEST(SqlJoinTest, AllJoinModesAgreeOnEveryKeyClass) {
+  // Property: for every key class (integer, double, string, integer vs
+  // double) and null keys, inner and left-outer joins return the same rows
+  // under broadcast-hash, shuffled-hash and sort-merge.
+  const std::pair<TypeId, TypeId> key_types[] = {
+      {TypeId::kString, TypeId::kString},
+      {TypeId::kFloat64, TypeId::kFloat64},
+      {TypeId::kInt32, TypeId::kInt64},
+      {TypeId::kInt64, TypeId::kInt32},
+      {TypeId::kInt64, TypeId::kFloat64},
+  };
+  Rng rng(2053);
+  for (const auto& [ltype, rtype] : key_types) {
+    auto lschema = std::make_shared<Schema>(Schema({
+        {"k", ltype, true}, {"tag", TypeId::kInt64, false}}));
+    auto rschema = std::make_shared<Schema>(Schema({
+        {"rk", rtype, true}, {"rtag", TypeId::kInt64, false}}));
+    std::vector<RowVec> left_rows, right_rows;
+    for (int64_t i = 0; i < 150; ++i) {
+      left_rows.push_back({RandomKey(rng, ltype), Value::Int64(i)});
+    }
+    for (int64_t i = 0; i < 80; ++i) {
+      right_rows.push_back({RandomKey(rng, rtype), Value::Int64(i)});
+    }
+    for (JoinType type : {JoinType::kInner, JoinType::kLeftOuter}) {
+      std::map<std::string, int> results[3];
+      int idx = 0;
+      for (JoinExec::Mode mode :
+           {JoinExec::Mode::kBroadcastHash, JoinExec::Mode::kShuffledHash,
+            JoinExec::Mode::kSortMerge}) {
+        SessionOptions opts = SmallOptions();
+        opts.join_mode = mode;
+        Session session(opts);
+        auto left = *session.CreateTable("l", lschema, left_rows);
+        auto right = *session.CreateTable("r", rschema, right_rows);
+        auto collected = left.Join(right, "k", "rk", type).Collect();
+        ASSERT_TRUE(collected.ok()) << collected.status().ToString();
+        results[idx++] = JoinResultHistogram(*collected);
+      }
+      const std::string what = std::string(TypeName(ltype)) + " = " +
+                               std::string(TypeName(rtype)) +
+                               (type == JoinType::kInner ? " inner"
+                                                         : " left-outer");
+      EXPECT_FALSE(results[0].empty()) << what;
+      EXPECT_EQ(results[0], results[1]) << what;
+      EXPECT_EQ(results[1], results[2]) << what;
+    }
+  }
+}
+
 TEST(SqlJoinTest, StringKeyJoin) {
   Session session(SmallOptions());
   auto people = *session.CreateTable("people", PeopleSchema(), PeopleRows());
