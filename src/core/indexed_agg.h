@@ -24,6 +24,7 @@ class RowAggExec final : public PhysicalOp {
 
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "RowAggExec"; }
   std::string Describe() const override {
     return "RowAggExec over " + indexed_->name();
   }

@@ -31,6 +31,7 @@ class IndexedJoinExec final : public PhysicalOp {
 
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "IndexedJoinExec"; }
   std::string Describe() const override {
     return "IndexedJoinExec probe_key=" + probe_key_ + " on " +
            indexed_->name();
@@ -55,6 +56,7 @@ class IndexLookupExec final : public PhysicalOp {
 
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "IndexLookupExec"; }
   std::string Describe() const override {
     return "IndexLookupExec key=" + key_.ToString() +
            (residual_ ? " residual=" + residual_->ToString() : "") + " on " +

@@ -18,38 +18,24 @@
 #include "obs/introspect.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "testing/chaos.h"
 
 namespace idf {
 
 namespace {
 
-/// Cached registry handles for the engine's per-stage/per-task metrics —
-/// resolved once, then one relaxed atomic op per update.
+/// Cached registry handles for the engine's directly fed per-task/per-stage
+/// metrics — resolved once, then one relaxed atomic op per update. Steals,
+/// residency, stage totals, recovery and executor kills are folded from
+/// their flight-recorder events by FlightRecorder::Record.
 struct EngineMetrics {
-  obs::Counter& stages = obs::Registry::Global().GetCounter("engine.stages");
+  // Direct feed, not event-derived: a task cancelled before its body runs
+  // records task_fail without counting a task.
   obs::Counter& tasks = obs::Registry::Global().GetCounter("engine.tasks");
-  obs::Counter& steals =
-      obs::Registry::Global().GetCounter("engine.scheduler.steals");
-  obs::Counter& resident_hits =
-      obs::Registry::Global().GetCounter("sched.resident_hits");
-  obs::Counter& resident_misses =
-      obs::Registry::Global().GetCounter("sched.resident_misses");
-  obs::Counter& recovered_blocks =
-      obs::Registry::Global().GetCounter("engine.recovery.blocks");
-  obs::Counter& killed_executors =
-      obs::Registry::Global().GetCounter("engine.executors.killed");
   obs::Histogram& task_seconds =
       obs::Registry::Global().GetHistogram("engine.task.seconds");
-  obs::Histogram& stage_real_seconds =
-      obs::Registry::Global().GetHistogram("engine.stage.real_seconds");
-  obs::Histogram& stage_wall_seconds =
-      obs::Registry::Global().GetHistogram("engine.stage.wall_seconds");
   obs::Histogram& stage_simulated_seconds =
       obs::Registry::Global().GetHistogram("engine.stage.simulated_seconds");
-  obs::Histogram& recovery_seconds =
-      obs::Registry::Global().GetHistogram("engine.recovery.seconds");
 
   static EngineMetrics& Get() {
     static EngineMetrics* metrics = new EngineMetrics();
@@ -141,6 +127,7 @@ struct Cluster::TaskResult {
   Status status = Status::OK();
   bool ran = false;       // false => cancelled after an earlier failure
   double elapsed = 0;
+  double blocked = 0;     // part of elapsed spent not computing (DES skips)
   TaskMetrics metrics;
   std::vector<SimRead> reads;
 };
@@ -154,7 +141,6 @@ struct Cluster::PipelineContext {
   const StagePlan* map_plan = nullptr;
   std::atomic<uint32_t> next_map{0};  // lowest unclaimed map task
   std::vector<TaskResult>* map_results = nullptr;
-  uint64_t stage_span_id = 0;
   uint32_t map_name_id = 0;
   QueryControl* control = nullptr;  // owning query's token (may be null)
   std::atomic<bool>* cancelled = nullptr;
@@ -164,41 +150,22 @@ struct Cluster::PipelineContext {
   /// `home`'s lane. Maps are claimed in ascending task index, never per
   /// lane: a running map then implies every smaller map is running or done,
   /// so the window's always-admitted minimal map can never sit unclaimed
-  /// while every worker is parked pushing a later one. Returns false when
-  /// every map is claimed (or the stage cancelled).
+  /// while every worker is parked pushing a later one. Maps have no lanes
+  /// to steal from; a steal (`helper`) is a starved reducer pulling map
+  /// work through its idle hook. Returns false when every map is claimed
+  /// (or the stage cancelled).
   bool RunOneMapTask(size_t home, bool helper) {
     if (cancelled->load(std::memory_order_relaxed)) return false;
     const size_t num_map = map_stage->tasks.size();
     if (next_map.load() >= num_map) return false;
     const uint32_t index = next_map.fetch_add(1);
     if (index >= num_map) return false;
-    EngineMetrics& em = EngineMetrics::Get();
-    obs::FlightRecorder& fr = obs::FlightRecorder::Global();
-    // Maps have no lanes to steal from; a steal is a starved reducer
-    // pulling map work through its idle hook.
-    if (helper) {
-      em.steals.Increment();
-      fr.Record(obs::EventType::kSteal, map_name_id, index, home, 0);
+    const uint32_t next = index + 1 < num_map ? index + 1 : TaskLanes::kNoTask;
+    if (!cluster->RunClaimedTask(*map_stage, *map_plan, map_name_id, control,
+                                 index, next, helper, home,
+                                 (*map_results)[index])) {
+      (*fail)();
     }
-    // The next map in claim order starts next: fault its spilled inputs in
-    // while this one runs.
-    if (map_plan->have_residency && index + 1 < num_map &&
-        !map_plan->resident[index + 1]) {
-      for (const PartitionInput& in : map_stage->tasks[index + 1].inputs) {
-        mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
-      }
-    }
-    TaskResult& out = (*map_results)[index];
-    cluster->ExecuteTask(*map_stage, index, map_plan->assigned[index],
-                         stage_span_id, map_name_id, control, out);
-    if (map_plan->have_residency) {
-      (map_plan->resident[index] ? em.resident_hits : em.resident_misses)
-          .Increment();
-      fr.Record(map_plan->resident[index] ? obs::EventType::kResidentHit
-                                          : obs::EventType::kResidentMiss,
-                map_name_id, index, 0, 0);
-    }
-    if (!out.status.ok()) (*fail)();
     return true;
   }
 };
@@ -276,9 +243,8 @@ void Cluster::ApplyTaskChaos(const StageSpec& stage, uint32_t index,
 }
 
 void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
-                          ExecutorId executor, uint64_t stage_span_id,
-                          uint32_t stage_name_id, QueryControl* control,
-                          TaskResult& out) {
+                          ExecutorId executor, uint32_t stage_name_id,
+                          QueryControl* control, TaskResult& out) {
   EngineMetrics& em = EngineMetrics::Get();
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
   // Per-query attribution for everything this task does — the start/finish
@@ -306,11 +272,6 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   // duration: nested in-line stages and polling bodies pick it up via
   // CurrentQueryControl().
   ScopedQueryControl scoped_control(control);
-  // Explicit parent: on a pool thread the stage span lives on the driver's
-  // stack, so the implicit thread-local link would miss it.
-  obs::Span task_span("task", stage.name + " #" + std::to_string(index),
-                      stage_span_id);
-  task_span.AddArgInt("executor", executor);
   TaskContext ctx(this, executor);
   const bool was_in_task = t_in_stage_task;
   t_in_stage_task = true;
@@ -338,9 +299,7 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
   t_in_stage_task = was_in_task;
   out.ran = true;
   em.tasks.Increment();
-  // Direct feed, not event-derived: the pre-body cancellation path above
-  // records task_fail without counting a task, so deriving counts from
-  // events would break conservation against engine.tasks.
+  // Direct feed, like engine.tasks (see EngineMetrics).
   obs::CurrentQueryProfile()->tasks.fetch_add(1, std::memory_order_relaxed);
   em.task_seconds.Observe(out.elapsed);
   fr.Record(out.status.ok() ? obs::EventType::kTaskFinish
@@ -349,20 +308,34 @@ void Cluster::ExecuteTask(const StageSpec& stage, uint32_t index,
             static_cast<uint64_t>(out.elapsed * 1e6));
   if (!out.status.ok()) return;
 
-  ctx.metrics().compute_seconds += out.elapsed;
-  if (task_span.active()) {
-    task_span.AddArgInt("rows_read", ctx.metrics().rows_read);
-    task_span.AddArgInt("rows_written", ctx.metrics().rows_written);
-    if (ctx.metrics().index_probes > 0) {
-      task_span.AddArgInt("index_probes", ctx.metrics().index_probes);
-      task_span.AddArgInt("index_hits", ctx.metrics().index_hits);
-    }
-    if (ctx.metrics().recovery_seconds > 0) {
-      task_span.AddArgNum("recovery_s", ctx.metrics().recovery_seconds);
-    }
-  }
+  out.blocked = std::min(ctx.blocked_seconds(), out.elapsed);
+  ctx.metrics().compute_seconds += out.elapsed - out.blocked;
   out.metrics = ctx.metrics();
   out.reads = ctx.reads();
+}
+
+bool Cluster::RunClaimedTask(const StageSpec& stage, const StagePlan& plan,
+                             uint32_t name_id, QueryControl* control,
+                             uint32_t index, uint32_t next, bool stolen,
+                             size_t host, TaskResult& out) {
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  if (stolen) fr.Record(obs::EventType::kSteal, name_id, index, host, 0);
+  // The task this lane runs next: fault its spilled inputs in while this
+  // one executes (bounded by budget headroom, so it can never evict this
+  // task's pins).
+  if (plan.have_residency && next != TaskLanes::kNoTask &&
+      !plan.resident[next]) {
+    for (const PartitionInput& in : stage.tasks[next].inputs) {
+      mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
+    }
+  }
+  ExecuteTask(stage, index, plan.assigned[index], name_id, control, out);
+  if (plan.have_residency) {
+    fr.Record(plan.resident[index] ? obs::EventType::kResidentHit
+                                   : obs::EventType::kResidentMiss,
+              name_id, index, 0, 0);
+  }
+  return out.status.ok();
 }
 
 Cluster::StagePlan Cluster::BuildStagePlan(
@@ -453,7 +426,6 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   // served query — all checks below collapse to a pointer compare.
   QueryControl* const control = CurrentQueryControl();
   if (control != nullptr) IDF_RETURN_IF_ERROR(control->Check());
-  EngineMetrics& em = EngineMetrics::Get();
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
   // The owning query id, re-installed on every pool worker below so steal
   // and residency events (recorded on the worker before/after ExecuteTask)
@@ -462,51 +434,30 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
                                 ? control->query_id()
                                 : obs::CurrentQueryId();
   // Interned once per stage (cold); tasks reuse the id on their hot path.
-  const uint32_t stage_name_id =
-      fr.enabled() ? fr.InternName(stage.name) : 0;
-  obs::Span stage_span("stage", stage.name);
-  Stopwatch stage_timer;
-  StageMetrics metrics;
-  metrics.num_tasks = static_cast<uint32_t>(stage.tasks.size());
+  const uint32_t stage_name_id = fr.InternName(stage.name);
   const size_t n = stage.tasks.size();
+  fr.Record(obs::EventType::kStageBegin, stage_name_id, n, 0, 0);
+  Stopwatch stage_timer;
 
   // Phases 1 + 1.5 (driver): executor assignment and residency-preferred
   // claim order (BuildStagePlan — shared with the fused path).
   const std::vector<ExecutorId> alive = AliveExecutors();
   IDF_CHECK_MSG(!alive.empty(), "no alive executors");
   const StagePlan plan = BuildStagePlan(stage, alive);
-  const std::vector<ExecutorId>& assigned = plan.assigned;
   const std::vector<uint32_t>& order = plan.order;
-  const std::vector<char>& resident = plan.resident;
-  const bool have_residency = plan.have_residency;
-  auto prefetch_inputs = [&stage](uint32_t t) {
-    for (const PartitionInput& in : stage.tasks[t].inputs) {
-      mem::MemoryGovernor::Global().PrefetchPartition(in.rdd, in.partition);
-    }
-  };
 
   // Phase 2: execute. Parallel on the pool when the scheduler has threads
   // to spare; in-line sequential otherwise, and always in-line for a stage
   // launched from inside a task body (re-entrancy guard above).
   std::vector<TaskResult> results(n);
-  const uint64_t stage_span_id = stage_span.id();
   const size_t workers = std::min<size_t>(scheduler_threads_, n);
   if (workers <= 1 || t_in_stage_task) {
     for (size_t k = 0; k < n; ++k) {
-      const uint32_t i = order[k];
-      // Fault the next task's spilled inputs in while this one runs.
-      if (have_residency && k + 1 < n && !resident[order[k + 1]]) {
-        prefetch_inputs(order[k + 1]);
+      const uint32_t next = k + 1 < n ? order[k + 1] : TaskLanes::kNoTask;
+      if (!RunClaimedTask(stage, plan, stage_name_id, control, order[k], next,
+                          /*stolen=*/false, /*host=*/0, results[order[k]])) {
+        break;
       }
-      ExecuteTask(stage, i, assigned[i], stage_span_id, stage_name_id,
-                  control, results[i]);
-      if (have_residency) {
-        (resident[i] ? em.resident_hits : em.resident_misses).Increment();
-        fr.Record(resident[i] ? obs::EventType::kResidentHit
-                              : obs::EventType::kResidentMiss,
-                  stage_name_id, i, 0, 0);
-      }
-      if (!results[i].status.ok()) break;
     }
   } else {
     TaskLanes lanes(plan.lane_of, alive.size(), order);
@@ -523,28 +474,8 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
         // claiming tasks, and already-running tasks finish undisturbed.
         while (!cancelled.load(std::memory_order_relaxed) &&
                lanes.Pop(w % alive.size(), &index, &stolen, &next_in_lane)) {
-          if (stolen) {
-            em.steals.Increment();
-            fr.Record(obs::EventType::kSteal, stage_name_id, index, w, 0);
-          }
-          // Per-lane prefetch: the task now at the head of the lane this
-          // claim came from runs next there — fault its spilled inputs in
-          // (bounded by budget headroom, so it can never evict this task's
-          // pins) while the claimed task executes.
-          if (have_residency && next_in_lane != TaskLanes::kNoTask &&
-              !resident[next_in_lane]) {
-            prefetch_inputs(next_in_lane);
-          }
-          ExecuteTask(stage, index, assigned[index], stage_span_id,
-                      stage_name_id, control, results[index]);
-          if (have_residency) {
-            (resident[index] ? em.resident_hits : em.resident_misses)
-                .Increment();
-            fr.Record(resident[index] ? obs::EventType::kResidentHit
-                                      : obs::EventType::kResidentMiss,
-                      stage_name_id, index, 0, 0);
-          }
-          if (!results[index].status.ok()) {
+          if (!RunClaimedTask(stage, plan, stage_name_id, control, index,
+                              next_in_lane, stolen, w, results[index])) {
             cancelled.store(true, std::memory_order_relaxed);
           }
         }
@@ -554,57 +485,9 @@ Result<StageMetrics> Cluster::RunStage(const StageSpec& stage) {
   }
 
   // Phase 3 (driver): merge outcomes in task-index order — the same
-  // accounting, in the same order, as when tasks ran one by one. The
-  // first failed task in index order aborts the stage.
-  std::vector<SimTask> sim_tasks;
-  sim_tasks.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    TaskResult& r = results[i];
-    if (!r.ran) continue;
-    if (!r.status.ok()) {
-      return Status(r.status.code(), "stage '" + stage.name +
-                                         "' task failed: " +
-                                         r.status.message());
-    }
-    metrics.totals.MergeFrom(r.metrics);
-    metrics.real_seconds += r.elapsed;
-    if (r.metrics.recovery_seconds > 0) ++metrics.recovered_tasks;
-
-    SimTask sim;
-    sim.compute_seconds = r.elapsed + stage.tasks[i].extra_sim_seconds;
-    sim.preferred = assigned[i];
-    sim.reads = stage.tasks[i].static_reads;
-    sim.reads.insert(sim.reads.end(), r.reads.begin(), r.reads.end());
-    sim_tasks.push_back(std::move(sim));
-  }
-
-  const SimOutcome outcome = simulator_.RunStage(sim_tasks);
-  metrics.simulated_seconds = outcome.makespan_seconds;
-  metrics.network_seconds = outcome.network_seconds;
-  metrics.wall_seconds = stage_timer.ElapsedSeconds();
-  em.stages.Increment();
-  em.stage_real_seconds.Observe(metrics.real_seconds);
-  em.stage_wall_seconds.Observe(metrics.wall_seconds);
-  em.stage_simulated_seconds.Observe(metrics.simulated_seconds);
-  obs::Registry::Global()
-      .GetHistogram(obs::TaggedName("engine.stage.seconds",
-                                    {{"stage", stage.name}}))
-      .Observe(metrics.real_seconds);
-  if (stage_span.active()) {
-    // Real vs simulated clocks on the same span: the DES verdict for this
-    // stage rides along with the measured host time.
-    stage_span.AddArgInt("tasks", metrics.num_tasks);
-    stage_span.AddArgNum("real_s", metrics.real_seconds);
-    stage_span.AddArgNum("wall_s", metrics.wall_seconds);
-    stage_span.AddArgNum("simulated_s", metrics.simulated_seconds);
-    stage_span.AddArgNum("network_s", metrics.network_seconds);
-  }
-  IDF_LOG_DEBUG("stage '%s': %u tasks, real %.3fs, wall %.3fs, "
-                "simulated %.3fs",
-                stage.name.c_str(), metrics.num_tasks, metrics.real_seconds,
-                metrics.wall_seconds, metrics.simulated_seconds);
-  if (control != nullptr) control->OnStageComplete();
-  return metrics;
+  // accounting, in the same order, as when tasks ran one by one.
+  return FinishStage(stage.name, stage_name_id, stage_timer, control,
+                     {{&stage, &plan, &results}});
 }
 
 Result<StageMetrics> Cluster::RunShuffleStages(uint64_t shuffle_id,
@@ -621,7 +504,6 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
                                             const StageSpec& reduce_stage) {
   QueryControl* const control = CurrentQueryControl();
   if (control != nullptr) IDF_RETURN_IF_ERROR(control->Check());
-  EngineMetrics& em = EngineMetrics::Get();
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
   const uint64_t query_id = control != nullptr && control->query_id() != 0
                                 ? control->query_id()
@@ -629,16 +511,14 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
   const std::string fused_name = map_stage.name + "+" + reduce_stage.name;
   // Sub-stage names intern separately: the journal still groups task events
   // by which half of the fused stage they belong to.
-  const uint32_t map_name_id =
-      fr.enabled() ? fr.InternName(map_stage.name) : 0;
-  const uint32_t reduce_name_id =
-      fr.enabled() ? fr.InternName(reduce_stage.name) : 0;
-  obs::Span stage_span("stage", fused_name);
-  Stopwatch stage_timer;
+  const uint32_t fused_name_id = fr.InternName(fused_name);
+  const uint32_t map_name_id = fr.InternName(map_stage.name);
+  const uint32_t reduce_name_id = fr.InternName(reduce_stage.name);
   const size_t num_map = map_stage.tasks.size();
   const size_t num_reduce = reduce_stage.tasks.size();
-  StageMetrics metrics;
-  metrics.num_tasks = static_cast<uint32_t>(num_map + num_reduce);
+  fr.Record(obs::EventType::kStageBegin, fused_name_id, num_map + num_reduce,
+            0, 0);
+  Stopwatch stage_timer;
 
   // One alive snapshot for both halves; each half gets the same per-stage
   // assignment (round-robin restarting at 0) it would get from its own
@@ -650,7 +530,6 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
 
   std::vector<TaskResult> map_results(num_map);
   std::vector<TaskResult> reduce_results(num_reduce);
-  const uint64_t stage_span_id = stage_span.id();
   const size_t workers =
       std::min<size_t>(scheduler_threads_, num_map + num_reduce);
   // Enforce the window only when running parallel: a sequential run pushes
@@ -664,37 +543,35 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
       shuffle_.AbortStreaming(shuffle_id);
     }
   };
+  PipelineContext pctx;
+  pctx.cluster = this;
+  pctx.map_stage = &map_stage;
+  pctx.map_plan = &map_plan;
+  pctx.map_results = &map_results;
+  pctx.map_name_id = map_name_id;
+  pctx.control = control;
+  pctx.cancelled = &cancelled;
+  pctx.fail = &fail;
 
   if (!parallel) {
     // Sequential: every map, then every reduce. No window is enforced, so
     // nothing can block.
-    for (uint32_t i = 0;
-         i < num_map && !cancelled.load(std::memory_order_relaxed); ++i) {
-      ExecuteTask(map_stage, i, map_plan.assigned[i], stage_span_id,
-                  map_name_id, control, map_results[i]);
-      if (!map_results[i].status.ok()) fail();
+    while (pctx.RunOneMapTask(/*home=*/0, /*helper=*/false)) {
     }
     for (size_t k = 0;
          k < num_reduce && !cancelled.load(std::memory_order_relaxed); ++k) {
+      const uint32_t next =
+          k + 1 < num_reduce ? reduce_plan.order[k + 1] : TaskLanes::kNoTask;
       const uint32_t i = reduce_plan.order[k];
-      ExecuteTask(reduce_stage, i, reduce_plan.assigned[i], stage_span_id,
-                  reduce_name_id, control, reduce_results[i]);
-      if (!reduce_results[i].status.ok()) fail();
+      if (!RunClaimedTask(reduce_stage, reduce_plan, reduce_name_id, control,
+                          i, next, /*stolen=*/false, /*host=*/0,
+                          reduce_results[i])) {
+        fail();
+      }
     }
   } else {
     TaskLanes reduce_lanes(reduce_plan.lane_of, alive.size(),
                            reduce_plan.order);
-    PipelineContext pctx;
-    pctx.cluster = this;
-    pctx.map_stage = &map_stage;
-    pctx.map_plan = &map_plan;
-    pctx.map_results = &map_results;
-    pctx.stage_span_id = stage_span_id;
-    pctx.map_name_id = map_name_id;
-    pctx.control = control;
-    pctx.cancelled = &cancelled;
-    pctx.fail = &fail;
-
     // Runs one pending reduce task for `home`'s lane; false when drained.
     auto run_one_reduce = [&](size_t home) -> bool {
       if (cancelled.load(std::memory_order_relaxed)) return false;
@@ -704,31 +581,11 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
       if (!reduce_lanes.Pop(home, &index, &stolen, &next_in_lane)) {
         return false;
       }
-      if (stolen) {
-        em.steals.Increment();
-        fr.Record(obs::EventType::kSteal, reduce_name_id, index, home, 0);
+      if (!RunClaimedTask(reduce_stage, reduce_plan, reduce_name_id, control,
+                          index, next_in_lane, stolen, home,
+                          reduce_results[index])) {
+        fail();
       }
-      if (reduce_plan.have_residency &&
-          next_in_lane != TaskLanes::kNoTask &&
-          !reduce_plan.resident[next_in_lane]) {
-        for (const PartitionInput& in :
-             reduce_stage.tasks[next_in_lane].inputs) {
-          mem::MemoryGovernor::Global().PrefetchPartition(in.rdd,
-                                                          in.partition);
-        }
-      }
-      ExecuteTask(reduce_stage, index, reduce_plan.assigned[index],
-                  stage_span_id, reduce_name_id, control,
-                  reduce_results[index]);
-      if (reduce_plan.have_residency) {
-        (reduce_plan.resident[index] ? em.resident_hits : em.resident_misses)
-            .Increment();
-        fr.Record(reduce_plan.resident[index]
-                      ? obs::EventType::kResidentHit
-                      : obs::EventType::kResidentMiss,
-                  reduce_name_id, index, 0, 0);
-      }
-      if (!reduce_results[index].status.ok()) fail();
       return true;
     };
 
@@ -763,72 +620,74 @@ Result<StageMetrics> Cluster::RunFusedStage(uint64_t shuffle_id,
     for (std::future<void>& f : done) f.get();
   }
 
-  // Merge in combined task-index order: maps, then reduces. Failure
-  // selection prefers the first root-cause failure; the "shuffle aborted"
-  // statuses the cancellation itself induced only surface when no primary
-  // failure exists.
+  // Merge in combined task-index order: maps, then reduces.
+  return FinishStage(fused_name, fused_name_id, stage_timer, control,
+                     {{&map_stage, &map_plan, &map_results},
+                      {&reduce_stage, &reduce_plan, &reduce_results}});
+}
+
+Result<StageMetrics> Cluster::FinishStage(
+    const std::string& name, uint32_t name_id, const Stopwatch& timer,
+    QueryControl* control, std::initializer_list<StageHalf> halves) {
+  // Failure selection prefers the first root-cause failure in task-index
+  // order; the "shuffle aborted" statuses a fused stage's cancellation
+  // itself induced only surface when no primary failure exists.
   const TaskResult* primary = nullptr;
   const TaskResult* secondary = nullptr;
-  auto scan_failures = [&](const std::vector<TaskResult>& results) {
-    for (const TaskResult& tr : results) {
+  for (const StageHalf& half : halves) {
+    for (const TaskResult& tr : *half.results) {
       if (!tr.ran || tr.status.ok()) continue;
-      const bool induced = IsShuffleAborted(tr.status);
-      if (!induced && primary == nullptr) primary = &tr;
+      if (!IsShuffleAborted(tr.status) && primary == nullptr) primary = &tr;
       if (secondary == nullptr) secondary = &tr;
     }
-  };
-  scan_failures(map_results);
-  scan_failures(reduce_results);
+  }
   const TaskResult* failed = primary != nullptr ? primary : secondary;
   if (failed != nullptr) {
-    return Status(failed->status.code(), "stage '" + fused_name +
+    return Status(failed->status.code(), "stage '" + name +
                                              "' task failed: " +
                                              failed->status.message());
   }
 
+  StageMetrics metrics;
   std::vector<SimTask> sim_tasks;
-  sim_tasks.reserve(num_map + num_reduce);
-  auto merge_stage = [&](const StageSpec& stage, const StagePlan& plan,
-                         std::vector<TaskResult>& results) {
-    for (uint32_t i = 0; i < results.size(); ++i) {
-      TaskResult& tr = results[i];
+  for (const StageHalf& half : halves) {
+    const StageSpec& stage = *half.stage;
+    metrics.num_tasks += static_cast<uint32_t>(stage.tasks.size());
+    for (uint32_t i = 0; i < half.results->size(); ++i) {
+      const TaskResult& tr = (*half.results)[i];
       IDF_CHECK(tr.ran);
       metrics.totals.MergeFrom(tr.metrics);
       metrics.real_seconds += tr.elapsed;
       if (tr.metrics.recovery_seconds > 0) ++metrics.recovered_tasks;
+      // DES compute is the task's own work: time a reducer spent running
+      // map tasks through its idle hook or parked on its channel is left
+      // out (the helped maps are simulated as their own tasks).
       SimTask sim;
-      sim.compute_seconds = tr.elapsed + stage.tasks[i].extra_sim_seconds;
-      sim.preferred = plan.assigned[i];
+      sim.compute_seconds =
+          tr.elapsed - tr.blocked + stage.tasks[i].extra_sim_seconds;
+      sim.preferred = half.plan->assigned[i];
       sim.reads = stage.tasks[i].static_reads;
       sim.reads.insert(sim.reads.end(), tr.reads.begin(), tr.reads.end());
       sim_tasks.push_back(std::move(sim));
     }
-  };
-  merge_stage(map_stage, map_plan, map_results);
-  merge_stage(reduce_stage, reduce_plan, reduce_results);
+  }
 
   const SimOutcome outcome = simulator_.RunStage(sim_tasks);
   metrics.simulated_seconds = outcome.makespan_seconds;
   metrics.network_seconds = outcome.network_seconds;
-  metrics.wall_seconds = stage_timer.ElapsedSeconds();
-  em.stages.Increment();
-  em.stage_real_seconds.Observe(metrics.real_seconds);
-  em.stage_wall_seconds.Observe(metrics.wall_seconds);
-  em.stage_simulated_seconds.Observe(metrics.simulated_seconds);
+  metrics.wall_seconds = timer.ElapsedSeconds();
+  obs::FlightRecorder::Global().Record(
+      obs::EventType::kStageEnd, name_id, metrics.num_tasks,
+      static_cast<uint64_t>(metrics.real_seconds * 1e6),
+      static_cast<uint64_t>(metrics.wall_seconds * 1e6));
+  EngineMetrics::Get().stage_simulated_seconds.Observe(
+      metrics.simulated_seconds);
   obs::Registry::Global()
-      .GetHistogram(obs::TaggedName("engine.stage.seconds",
-                                    {{"stage", fused_name}}))
+      .GetHistogram(obs::TaggedName("engine.stage.seconds", {{"stage", name}}))
       .Observe(metrics.real_seconds);
-  if (stage_span.active()) {
-    stage_span.AddArgInt("tasks", metrics.num_tasks);
-    stage_span.AddArgNum("real_s", metrics.real_seconds);
-    stage_span.AddArgNum("wall_s", metrics.wall_seconds);
-    stage_span.AddArgNum("simulated_s", metrics.simulated_seconds);
-    stage_span.AddArgNum("network_s", metrics.network_seconds);
-  }
-  IDF_LOG_DEBUG("fused stage '%s': %u tasks, real %.3fs, wall %.3fs, "
+  IDF_LOG_DEBUG("stage '%s': %u tasks, real %.3fs, wall %.3fs, "
                 "simulated %.3fs",
-                fused_name.c_str(), metrics.num_tasks, metrics.real_seconds,
+                name.c_str(), metrics.num_tasks, metrics.real_seconds,
                 metrics.wall_seconds, metrics.simulated_seconds);
   if (control != nullptr) control->OnStageComplete();
   return metrics;
@@ -850,7 +709,9 @@ RoutedBufferStream OpenReduceStream(TaskContext& ctx, uint64_t shuffle_id,
       /*on_map_read=*/
       [ctx_ptr](ExecutorId source, uint64_t bytes) {
         ctx_ptr->AddRead(source, bytes);
-      });
+      },
+      /*on_blocked=*/
+      [ctx_ptr](double seconds) { ctx_ptr->AddBlockedSeconds(seconds); });
 }
 
 ExecutorId Cluster::HomeExecutorFor(uint64_t rdd, uint32_t partition) const {
@@ -904,7 +765,6 @@ bool Cluster::TryKillExecutor(ExecutorId e) {
 
 size_t Cluster::DropKilledExecutor(ExecutorId e) {
   const size_t lost = blocks_.DropExecutor(e);
-  EngineMetrics::Get().killed_executors.Increment();
   obs::FlightRecorder::Global().Record(obs::EventType::kExecutorKill, 0, e,
                                        lost, 0);
   IDF_LOG_INFO("killed executor %u (%zu blocks lost)", e, lost);
@@ -948,16 +808,11 @@ Result<BlockPtr> Cluster::GetOrCompute(const BlockId& id, TaskContext& ctx) {
 
   IDF_LOG_INFO("recomputing %s from lineage on executor %u",
                id.ToString().c_str(), ctx.executor());
-  obs::Span span("recovery", "recompute " + id.ToString());
-  span.AddArgInt("executor", ctx.executor());
   Stopwatch timer;
   Result<BlockPtr> recomputed = fn(id.partition, id.version, ctx);
   IDF_RETURN_IF_ERROR(recomputed.status());
   const double elapsed = timer.ElapsedSeconds();
   ctx.metrics().recovery_seconds += elapsed;
-  EngineMetrics& em = EngineMetrics::Get();
-  em.recovered_blocks.Increment();
-  em.recovery_seconds.Observe(elapsed);
   obs::FlightRecorder::Global().Record(
       obs::EventType::kRecoveryBlock, 0, id.rdd, id.partition,
       static_cast<uint64_t>(elapsed * 1e6));

@@ -15,9 +15,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -32,6 +34,7 @@
 namespace idf {
 
 class Cluster;
+class Stopwatch;
 
 /// Handed to every task body. Accumulates metrics and declared remote reads
 /// for the simulator.
@@ -53,11 +56,18 @@ class TaskContext {
 
   const std::vector<SimRead>& reads() const { return reads_; }
 
+  /// Declares time inside this task's body that is not its own compute: a
+  /// shuffle consumer running map tasks through its idle hook or parked on
+  /// its channel (OpenReduceStream). The DES leaves it out of the task.
+  void AddBlockedSeconds(double seconds) { blocked_seconds_ += seconds; }
+  double blocked_seconds() const { return blocked_seconds_; }
+
  private:
   Cluster* cluster_;
   ExecutorId executor_;
   TaskMetrics metrics_;
   std::vector<SimRead> reads_;
+  double blocked_seconds_ = 0;
 };
 
 using TaskBody = std::function<Status(TaskContext&)>;
@@ -213,7 +223,7 @@ class Cluster {
   StagePlan BuildStagePlan(const StageSpec& stage,
                            const std::vector<ExecutorId>& alive);
 
-  /// Executes one task body: span, context, timing, global counters, flight-
+  /// Executes one task body: context, timing, the engine.tasks feed, flight-
   /// recorder task events (stage_name_id is the stage name interned once by
   /// RunStage). The outcome lands in `out`; merging happens later, on the
   /// driver, in task-index order. `control` is the owning query's
@@ -221,8 +231,34 @@ class Cluster {
   /// the body runs and installed on this thread for the body's duration so
   /// nested stages and polling bodies observe it.
   void ExecuteTask(const StageSpec& stage, uint32_t index, ExecutorId executor,
-                   uint64_t stage_span_id, uint32_t stage_name_id,
-                   QueryControl* control, TaskResult& out);
+                   uint32_t stage_name_id, QueryControl* control,
+                   TaskResult& out);
+
+  /// Runs one claimed task with the bookkeeping every claim site shares:
+  /// the steal event (`stolen`, recorded with the claiming `host`), the
+  /// prefetch of `next` — the task the claiming lane runs next, or
+  /// TaskLanes::kNoTask — and the residency event. Returns false when the
+  /// task failed.
+  bool RunClaimedTask(const StageSpec& stage, const StagePlan& plan,
+                      uint32_t name_id, QueryControl* control, uint32_t index,
+                      uint32_t next, bool stolen, size_t host,
+                      TaskResult& out);
+
+  /// One sub-stage's specification, plan and outcomes, for FinishStage.
+  struct StageHalf {
+    const StageSpec* stage;
+    const StagePlan* plan;
+    const std::vector<TaskResult>* results;
+  };
+
+  /// The epilogue RunStage and the fused stage share: picks the failure to
+  /// report (first root cause in task-index order), else merges the halves
+  /// in order into StageMetrics, runs the DES, records the stage_end event
+  /// and completes the stage on `control`.
+  Result<StageMetrics> FinishStage(const std::string& name, uint32_t name_id,
+                                   const Stopwatch& timer,
+                                   QueryControl* control,
+                                   std::initializer_list<StageHalf> halves);
 
   /// Task-boundary chaos site: consults the chaos engine (scripted hooks +
   /// armed probability faults) and applies the returned TaskAction with

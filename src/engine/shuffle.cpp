@@ -12,21 +12,20 @@
 namespace idf {
 namespace {
 
-/// Cached registry handles — registry lookups take a mutex; pushes happen
-/// per sealed buffer on the map hot path.
-struct ShuffleMetrics {
-  obs::Counter& pushed_bytes;
-  obs::Histogram& stall_seconds;
-  obs::Gauge& inflight_peak_bytes;
+/// Cached registry handle — registry lookups take a mutex; pushes happen
+/// per sealed buffer on the map hot path. Pushed bytes and stall time are
+/// folded from the kShufflePush / kShuffleStall events.
+obs::Gauge& InflightPeakGauge() {
+  static obs::Gauge& gauge =
+      obs::Registry::Global().GetGauge("engine.shuffle.inflight_peak_bytes");
+  return gauge;
+}
 
-  static ShuffleMetrics& Get() {
-    static ShuffleMetrics m{
-        obs::Registry::Global().GetCounter("engine.shuffle.pushed_bytes"),
-        obs::Registry::Global().GetHistogram("engine.shuffle.stall_seconds"),
-        obs::Registry::Global().GetGauge("engine.shuffle.inflight_peak_bytes")};
-    return m;
-  }
-};
+double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       since)
+      .count();
+}
 
 uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
@@ -36,8 +35,6 @@ uint64_t ElapsedMicros(std::chrono::steady_clock::time_point since) {
 }
 
 void RecordStall(uint64_t micros, uint64_t task, bool drain_side) {
-  ShuffleMetrics::Get().stall_seconds.Observe(
-      static_cast<double>(micros) / 1e6);
   obs::FlightRecorder::Global().Record(obs::EventType::kShuffleStall,
                                        /*name_id=*/0, micros, task,
                                        drain_side ? 1 : 0);
@@ -179,10 +176,9 @@ bool ShuffleService::PushMapOutput(uint64_t shuffle, uint32_t map_task,
     s.channels[reduce_part]->cv.notify_all();
   }
   if (stall_us > 0) RecordStall(stall_us, map_task, /*drain_side=*/false);
-  auto& metrics = ShuffleMetrics::Get();
-  metrics.pushed_bytes.Add(size);
-  if (static_cast<double>(peak) > metrics.inflight_peak_bytes.value()) {
-    metrics.inflight_peak_bytes.Set(static_cast<double>(peak));
+  obs::Gauge& inflight_peak = InflightPeakGauge();
+  if (static_cast<double>(peak) > inflight_peak.value()) {
+    inflight_peak.Set(static_cast<double>(peak));
   }
   obs::FlightRecorder::Global().Record(obs::EventType::kShufflePush,
                                        /*name_id=*/0, size, map_task,
@@ -224,7 +220,8 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
     uint64_t shuffle, uint32_t reduce_part, uint32_t* map_cursor,
     uint64_t* map_bytes, ExecutorId* map_source,
     const std::function<bool()>& idle,
-    const std::function<void(ExecutorId, uint64_t)>& on_map_read) {
+    const std::function<void(ExecutorId, uint64_t)>& on_map_read,
+    const std::function<void(double)>& on_blocked) {
   // Chaos pull site: stall this consumer's channel before it takes the
   // lock, shearing the drain order against the producers.
   if (chaos::ChaosEngine::Active()) {
@@ -295,7 +292,13 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
     IDF_CHECK(must_wait);
     // Channel momentarily dry: steal pending map work instead of sleeping
     // when the hook has any, else block until this map pushes or finishes.
-    if (idle && idle()) continue;
+    if (idle) {
+      const auto start = std::chrono::steady_clock::now();
+      if (idle()) {
+        if (on_blocked) on_blocked(ElapsedSeconds(start));
+        continue;
+      }
+    }
     {
       std::unique_lock<std::mutex> lock(mutex_);
       State& s = GetState(shuffle);
@@ -308,8 +311,10 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
           return s.aborted || !channel.per_map[m].empty() ||
                  s.map_finished[m];
         });
-        const uint64_t stall_us = ElapsedMicros(start);
+        const double stall_s = ElapsedSeconds(start);
+        const uint64_t stall_us = static_cast<uint64_t>(stall_s * 1e6);
         lock.unlock();
+        if (on_blocked) on_blocked(stall_s);
         if (stall_us > 0) RecordStall(stall_us, reduce_part, /*drain_side=*/true);
       }
     }
@@ -318,7 +323,7 @@ Result<std::shared_ptr<const ShuffleBuffer>> ShuffleService::PullNext(
 
 Result<std::shared_ptr<const ShuffleBuffer>> RoutedBufferStream::Next() {
   return service_->PullNext(shuffle_, reduce_part_, &map_cursor_, &map_bytes_,
-                            &map_source_, idle_, on_map_read_);
+                            &map_source_, idle_, on_map_read_, on_blocked_);
 }
 
 }  // namespace idf

@@ -107,17 +107,22 @@ class ShuffleService;
 /// work instead of sleeping; return true after doing work, false to block on
 /// the channel. `on_map_read` fires once per map task whose contribution to
 /// this partition completed with > 0 bytes: one DES read per non-empty
-/// (map, reduce) pair, declared in map-id order.
+/// (map, reduce) pair, declared in map-id order. `on_blocked` (optional)
+/// receives the seconds the consumer spent not consuming: running map work
+/// through `idle`, or parked on its dry channel — time the DES must not
+/// charge to the consuming task.
 class RoutedBufferStream {
  public:
   RoutedBufferStream(ShuffleService& service, uint64_t shuffle,
                      uint32_t reduce_part, std::function<bool()> idle,
-                     std::function<void(ExecutorId, uint64_t)> on_map_read)
+                     std::function<void(ExecutorId, uint64_t)> on_map_read,
+                     std::function<void(double)> on_blocked = {})
       : service_(&service),
         shuffle_(shuffle),
         reduce_part_(reduce_part),
         idle_(std::move(idle)),
-        on_map_read_(std::move(on_map_read)) {}
+        on_map_read_(std::move(on_map_read)),
+        on_blocked_(std::move(on_blocked)) {}
 
   /// Next routed buffer; nullptr at end of stream. Blocks until a buffer
   /// arrives (or the shuffle aborts).
@@ -133,6 +138,7 @@ class RoutedBufferStream {
   uint32_t reduce_part_;
   std::function<bool()> idle_;
   std::function<void(ExecutorId, uint64_t)> on_map_read_;
+  std::function<void(double)> on_blocked_;
   uint32_t map_cursor_ = 0;       // map id currently being drained
   uint64_t map_bytes_ = 0;        // bytes delivered from map_cursor_ so far
   ExecutorId map_source_ = kAnyExecutor;
@@ -250,7 +256,8 @@ class ShuffleService {
       uint64_t shuffle, uint32_t reduce_part, uint32_t* map_cursor,
       uint64_t* map_bytes, ExecutorId* map_source,
       const std::function<bool()>& idle,
-      const std::function<void(ExecutorId, uint64_t)>& on_map_read);
+      const std::function<void(ExecutorId, uint64_t)>& on_map_read,
+      const std::function<void(double)>& on_blocked);
 
   const State& GetState(uint64_t id) const {
     auto it = shuffles_.find(id);

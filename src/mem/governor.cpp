@@ -11,37 +11,25 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
-#include "obs/trace.h"
 #include "testing/chaos.h"
 
 namespace idf::mem {
 
 namespace {
 
-/// mem.* metric handles, resolved once (see obs/metrics_registry.h).
+/// mem.* metric handles, resolved once (see obs/metrics_registry.h). The
+/// event-shaped ones (evictions, spill/reload bytes, prefetch reloads and
+/// skips) are folded from the flight-recorder events by Record().
 struct MemMetrics {
   obs::Gauge& resident = obs::Registry::Global().GetGauge("mem.resident_bytes");
   obs::Gauge& spilled = obs::Registry::Global().GetGauge("mem.spilled_bytes");
   obs::Gauge& budget = obs::Registry::Global().GetGauge("mem.budget_bytes");
-  obs::Counter& evictions = obs::Registry::Global().GetCounter("mem.evictions");
-  obs::Counter& reload_faults =
-      obs::Registry::Global().GetCounter("mem.reload_faults");
   obs::Counter& pin_blocks =
       obs::Registry::Global().GetCounter("mem.pin_blocks");
-  obs::Counter& spill_write_bytes =
-      obs::Registry::Global().GetCounter("mem.spill.write_bytes");
-  obs::Counter& reload_read_bytes =
-      obs::Registry::Global().GetCounter("mem.reload.read_bytes");
   obs::Counter& salvaged_segments =
       obs::Registry::Global().GetCounter("mem.salvage.segments");
   obs::Counter& prefetch_requests =
       obs::Registry::Global().GetCounter("mem.prefetch.requests");
-  obs::Counter& prefetch_reloads =
-      obs::Registry::Global().GetCounter("mem.prefetch.reloads");
-  obs::Counter& prefetch_read_bytes =
-      obs::Registry::Global().GetCounter("mem.prefetch.read_bytes");
-  obs::Counter& prefetch_skipped =
-      obs::Registry::Global().GetCounter("mem.prefetch.skipped");
   obs::Counter& prefetch_failures =
       obs::Registry::Global().GetCounter("mem.prefetch.failures");
   obs::Gauge& reserved =
@@ -307,7 +295,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
     return true;  // not an error; the enforcement loop picks another victim
   }
   if (victim->spill_file_ == nullptr) {
-    obs::Span span("mem", "spill");
     // Pid-qualified so concurrent processes pointed at one IDF_SPILL_DIR
     // (e.g. parallel ctest under $RUNNER_TEMP) never clobber each other.
     const std::string path = SpillDirLocked() + "/seg-" +
@@ -322,8 +309,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
     }
     victim->spill_bytes_ = *written;
     victim->spill_file_ = std::make_shared<SpillFile>(path);
-    span.AddArgInt("bytes", *written);
-    mm.spill_write_bytes.Add(*written);
     obs::FlightRecorder::Global().Record(obs::EventType::kSpillWrite, 0,
                                          *written, victim->identity_.owner,
                                          victim->identity_.shard);
@@ -347,7 +332,6 @@ bool MemoryGovernor::EvictLocked(Evictable* victim) {
   victim->state_.store(Evictable::kEvicted, std::memory_order_seq_cst);
   resident_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
   spilled_bytes_.fetch_add(victim->spill_bytes_, std::memory_order_relaxed);
-  mm.evictions.Increment();
   mm.resident.Set(static_cast<double>(resident_bytes()));
   mm.spilled.Set(static_cast<double>(spilled_bytes()));
   obs::FlightRecorder::Global().Record(obs::EventType::kEvict, 0, bytes,
@@ -368,7 +352,6 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   if (e->state_.load(std::memory_order_seq_cst) == Evictable::kResident) {
     return Status::OK();  // raced with another reloader (or evict aborted)
   }
-  obs::Span span("mem", "reload");
   IDF_CHECK_MSG(e->spill_file_ != nullptr, "evicted payload has no spill file");
   IDF_RETURN_IF_ERROR(RunReloadChaos(e->identity_, /*prefetch=*/false));
   IDF_RETURN_IF_ERROR(e->ReloadPayload(e->spill_file_->path()));
@@ -377,11 +360,8 @@ Status MemoryGovernor::FaultIn(Evictable* e) {
   resident_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   spilled_bytes_.fetch_sub(e->spill_bytes_, std::memory_order_relaxed);
   MemMetrics& mm = MemMetrics::Get();
-  mm.reload_faults.Increment();
-  mm.reload_read_bytes.Add(e->spill_bytes_);
   mm.resident.Set(static_cast<double>(resident_bytes()));
   mm.spilled.Set(static_cast<double>(spilled_bytes()));
-  span.AddArgInt("bytes", e->spill_bytes_);
   obs::FlightRecorder::Global().Record(obs::EventType::kReloadDemand, 0,
                                        e->spill_bytes_, e->identity_.owner,
                                        e->identity_.shard);
@@ -515,12 +495,8 @@ void MemoryGovernor::DrainPrefetchForTesting() {
 }
 
 void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
-  obs::Span span("mem", "prefetch");
-  span.AddArgInt("owner", static_cast<int64_t>(owner));
-  span.AddArgInt("shard", shard);
   MemMetrics& mm = MemMetrics::Get();
-  uint64_t reloads = 0;
-  uint64_t bytes = 0;
+  bool reloaded = false;
   std::lock_guard<std::mutex> lock(mutex_);
   const uint64_t budget = budget_.load(std::memory_order_relaxed);
   for (Evictable* e : registry_) {
@@ -532,7 +508,6 @@ void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
     // rather than letting enforcement evict on the prefetcher's behalf —
     // prefetch must never push out the running task's working set.
     if (budget == 0 || resident_bytes() + e->spill_bytes_ > budget) {
-      mm.prefetch_skipped.Increment();
       obs::FlightRecorder::Global().Record(obs::EventType::kPrefetchSkip, 0,
                                            e->spill_bytes_, owner, shard);
       continue;
@@ -557,17 +532,12 @@ void MemoryGovernor::PrefetchPartitionSync(uint64_t owner, uint32_t shard) {
     spilled_bytes_.fetch_sub(e->spill_bytes_, std::memory_order_relaxed);
     obs::FlightRecorder::Global().Record(obs::EventType::kReloadPrefetch, 0,
                                          e->spill_bytes_, owner, shard);
-    bytes += e->spill_bytes_;
-    ++reloads;
+    reloaded = true;
   }
-  if (reloads > 0) {
-    mm.prefetch_reloads.Add(reloads);
-    mm.prefetch_read_bytes.Add(bytes);
+  if (reloaded) {
     mm.resident.Set(static_cast<double>(resident_bytes()));
     mm.spilled.Set(static_cast<double>(spilled_bytes()));
   }
-  span.AddArgInt("reloads", static_cast<int64_t>(reloads));
-  span.AddArgInt("bytes", static_cast<int64_t>(bytes));
 }
 
 std::vector<SalvageSegment> MemoryGovernor::SalvagePrefix(uint64_t owner,

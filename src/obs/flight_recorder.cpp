@@ -205,6 +205,10 @@ const char* EventTypeName(EventType type) {
     case EventType::kChaosArm: return "chaos_arm";
     case EventType::kChaosFault: return "chaos_fault";
     case EventType::kBuildInfo: return "build_info";
+    case EventType::kStageBegin: return "stage_begin";
+    case EventType::kStageEnd: return "stage_end";
+    case EventType::kOpBegin: return "op_begin";
+    case EventType::kOpEnd: return "op_end";
   }
   return "event";
 }
@@ -217,6 +221,39 @@ std::string EventJson(const FlightEvent& event) {
                       event.b, event.c);
   return std::string(line, len);
 }
+
+/// Every registry metric that counts an event-shaped fact, resolved once.
+/// Record() is the only writer of these (docs/OBSERVABILITY.md, "Event ->
+/// metric fold"); the call sites keep no co-located increment.
+struct FlightRecorder::FoldedMetrics {
+  Registry& r = Registry::Global();
+  Counter& steals = r.GetCounter("engine.scheduler.steals");
+  Counter& resident_hits = r.GetCounter("sched.resident_hits");
+  Counter& resident_misses = r.GetCounter("sched.resident_misses");
+  Counter& evictions = r.GetCounter("mem.evictions");
+  Counter& spill_write_bytes = r.GetCounter("mem.spill.write_bytes");
+  Counter& reload_faults = r.GetCounter("mem.reload_faults");
+  Counter& reload_read_bytes = r.GetCounter("mem.reload.read_bytes");
+  Counter& prefetch_reloads = r.GetCounter("mem.prefetch.reloads");
+  Counter& prefetch_read_bytes = r.GetCounter("mem.prefetch.read_bytes");
+  Counter& prefetch_skipped = r.GetCounter("mem.prefetch.skipped");
+  Counter& shuffle_pushed_bytes = r.GetCounter("engine.shuffle.pushed_bytes");
+  Histogram& shuffle_stall_seconds =
+      r.GetHistogram("engine.shuffle.stall_seconds");
+  Counter& recovered_blocks = r.GetCounter("engine.recovery.blocks");
+  Histogram& recovery_seconds = r.GetHistogram("engine.recovery.seconds");
+  Counter& killed_executors = r.GetCounter("engine.executors.killed");
+  Counter& stages = r.GetCounter("engine.stages");
+  Histogram& stage_real_seconds = r.GetHistogram("engine.stage.real_seconds");
+  Histogram& stage_wall_seconds = r.GetHistogram("engine.stage.wall_seconds");
+  Counter& submitted = r.GetCounter("server.submitted");
+  Counter& admitted = r.GetCounter("server.admitted");
+  Counter& rejected = r.GetCounter("server.rejected");
+  Counter& cancelled = r.GetCounter("server.cancelled");
+  Counter& expired = r.GetCounter("server.deadline_expired");
+  Histogram& queued_seconds = r.GetHistogram("server.queued.seconds");
+  Histogram& query_seconds = r.GetHistogram("server.query.seconds");
+};
 
 FlightRecorder& FlightRecorder::Global() {
   static FlightRecorder* recorder = new FlightRecorder();
@@ -241,15 +278,11 @@ FlightRecorder::FlightRecorder()
       slots_(capacity_),
       dump_buffer_(new RawEvent[capacity_]) {
   epoch_ns_ = SteadyNowNs();
-  if (const char* env = std::getenv("IDF_FLIGHT_RECORDER")) {
-    if (env[0] == '0' && env[1] == '\0') {
-      enabled_.store(false, std::memory_order_relaxed);
-    }
-  }
   pool_full_id_ = InternName("<pool-full>");
   // Resolved here, never in Record: the lapped counter makes journal
   // truncation visible on /metrics instead of silent.
   lapped_ = &Registry::Global().GetCounter("obs.ring.lapped");
+  folded_ = new FoldedMetrics();
   build_info_name_id_ = InternName(BuildInfoSummary());
   RecordBuildInfo();
 }
@@ -290,7 +323,6 @@ const char* FlightRecorder::NameAt(uint32_t id) const {
 
 void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
                             uint64_t b, uint64_t c) {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   const uint64_t ticket = head_.fetch_add(1, std::memory_order_relaxed);
   if (ticket >= capacity_) lapped_->Increment();  // overwrote an old event
   Slot& slot = slots_[ticket & mask_];
@@ -306,12 +338,19 @@ void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
   slot.b.store(b, std::memory_order_relaxed);
   slot.c.store(c, std::memory_order_relaxed);
   slot.seq.store(ticket + 1, std::memory_order_release);
+  Fold(type, name_id, a, b, c);
+}
 
-  // Per-query attribution rides the event stream: every branch below has a
-  // 1:1 co-located metric increment at its Record call site, which is what
-  // the conservation gate (tests/query_profile_test.cpp) checks. Types not
-  // listed (query lifecycle, crash, build info, chaos) cost nothing here —
-  // in particular the crash path never resolves a profile (mutex).
+void FlightRecorder::Fold(EventType type, uint32_t name_id, uint64_t a,
+                          uint64_t b, uint64_t c) {
+  // Types not listed (task start, batch seal, shuffle drain, query start,
+  // op events, crash, build info, chaos) feed nothing; in particular the
+  // crash path never resolves a profile (mutex). Per-query fields are the
+  // conservation gate's decomposition of the same metrics
+  // (tests/query_profile_test.cpp); server.* and engine.stages are
+  // process-level and have no profile field.
+  const FoldedMetrics& m = *folded_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
   switch (type) {
     case EventType::kTaskFinish:
       CurrentQueryProfile()->OnTaskDone(name_id, c, /*failed=*/false);
@@ -320,42 +359,77 @@ void FlightRecorder::Record(EventType type, uint32_t name_id, uint64_t a,
       CurrentQueryProfile()->OnTaskDone(name_id, c, /*failed=*/true);
       break;
     case EventType::kSteal:
-      CurrentQueryProfile()->steals.fetch_add(1, std::memory_order_relaxed);
+      m.steals.Increment();
+      CurrentQueryProfile()->steals.fetch_add(1, kRelaxed);
       break;
     case EventType::kResidentHit:
-      CurrentQueryProfile()->resident_hits.fetch_add(
-          1, std::memory_order_relaxed);
+      m.resident_hits.Increment();
+      CurrentQueryProfile()->resident_hits.fetch_add(1, kRelaxed);
       break;
     case EventType::kResidentMiss:
-      CurrentQueryProfile()->resident_misses.fetch_add(
-          1, std::memory_order_relaxed);
+      m.resident_misses.Increment();
+      CurrentQueryProfile()->resident_misses.fetch_add(1, kRelaxed);
       break;
     case EventType::kEvict:
-      CurrentQueryProfile()->evictions.fetch_add(1, std::memory_order_relaxed);
+      m.evictions.Increment();
+      CurrentQueryProfile()->evictions.fetch_add(1, kRelaxed);
       break;
     case EventType::kSpillWrite:
-      CurrentQueryProfile()->bytes_spilled.fetch_add(
-          a, std::memory_order_relaxed);
+      m.spill_write_bytes.Add(a);
+      CurrentQueryProfile()->bytes_spilled.fetch_add(a, kRelaxed);
       break;
     case EventType::kReloadDemand:
-      CurrentQueryProfile()->bytes_reloaded.fetch_add(
-          a, std::memory_order_relaxed);
+      m.reload_faults.Increment();
+      m.reload_read_bytes.Add(a);
+      CurrentQueryProfile()->bytes_reloaded.fetch_add(a, kRelaxed);
       break;
     case EventType::kReloadPrefetch:
-      CurrentQueryProfile()->bytes_prefetched.fetch_add(
-          a, std::memory_order_relaxed);
+      m.prefetch_reloads.Increment();
+      m.prefetch_read_bytes.Add(a);
+      CurrentQueryProfile()->bytes_prefetched.fetch_add(a, kRelaxed);
       break;
     case EventType::kPrefetchSkip:
-      CurrentQueryProfile()->prefetch_skips.fetch_add(
-          1, std::memory_order_relaxed);
+      m.prefetch_skipped.Increment();
+      CurrentQueryProfile()->prefetch_skips.fetch_add(1, kRelaxed);
       break;
     case EventType::kShuffleStall:
-      CurrentQueryProfile()->shuffle_stall_us.fetch_add(
-          a, std::memory_order_relaxed);
+      m.shuffle_stall_seconds.Observe(static_cast<double>(a) * 1e-6);
+      CurrentQueryProfile()->shuffle_stall_us.fetch_add(a, kRelaxed);
       break;
     case EventType::kShufflePush:
-      CurrentQueryProfile()->shuffle_pushed_bytes.fetch_add(
-          a, std::memory_order_relaxed);
+      m.shuffle_pushed_bytes.Add(a);
+      CurrentQueryProfile()->shuffle_pushed_bytes.fetch_add(a, kRelaxed);
+      break;
+    case EventType::kRecoveryBlock:
+      m.recovered_blocks.Increment();
+      m.recovery_seconds.Observe(static_cast<double>(c) * 1e-6);
+      break;
+    case EventType::kExecutorKill:
+      m.killed_executors.Increment();
+      break;
+    case EventType::kStageEnd:
+      m.stages.Increment();
+      m.stage_real_seconds.Observe(static_cast<double>(b) * 1e-6);
+      m.stage_wall_seconds.Observe(static_cast<double>(c) * 1e-6);
+      break;
+    case EventType::kQuerySubmit:
+      m.submitted.Increment();
+      break;
+    case EventType::kQueryAdmit:
+      m.admitted.Increment();
+      m.queued_seconds.Observe(static_cast<double>(c) * 1e-6);
+      break;
+    case EventType::kQueryReject:
+      m.rejected.Increment();
+      break;
+    case EventType::kQueryCancel:
+      m.cancelled.Increment();
+      break;
+    case EventType::kQueryDeadline:
+      m.expired.Increment();
+      break;
+    case EventType::kQueryFinish:
+      m.query_seconds.Observe(static_cast<double>(c) * 1e-6);
       break;
     default:
       break;

@@ -1,17 +1,20 @@
-// Flight recorder (observability v2, part 1): an always-on, lock-free,
+// Flight recorder: the engine's one event stream. An always-on, lock-free,
 // fixed-size ring buffer of compact structured events — the last N things
 // the engine's hot machinery actually did, available at any moment and
 // especially at the moment of death.
 //
-// Why a ring and not the metrics registry: counters tell you *how many*
-// evictions happened over the process lifetime; a memory-pressure bug needs
-// to know *which* eviction ran between which two tasks. Why not spans: the
-// tracer allocates per event and is off by default; the recorder is cheap
-// enough (one relaxed fetch_add plus five relaxed word stores) to stay on
-// permanently, even in benches measuring the scheduler itself.
+// Every instrumentation site writes exactly one event here. Record() then
+// folds the event into everything derived from it: the registry metrics
+// that count the same fact (engine.scheduler.steals, mem.evictions,
+// engine.stages, server.submitted, ... — see the fold table in
+// docs/OBSERVABILITY.md) and the owning query's QueryProfile. So a counter,
+// a per-query profile field and the journal can never disagree about how
+// often something happened. Stage and operator begin/end events carry the
+// span structure: tools/idf_events.py --chrome-trace renders any journal
+// (--events-out, /events, a crash dump) as a Chrome trace.
 //
 // Writers never block and never allocate. Each ring slot is a small seqlock:
-// a writer claims a ticket with one fetch_add, writes the five payload words
+// a writer claims a ticket with one fetch_add, writes the payload words
 // (relaxed atomics — multi-writer lapping is race-free by construction),
 // then publishes the slot by storing ticket+1 into the slot's sequence word
 // with release order. Snapshot readers validate the sequence before and
@@ -21,10 +24,11 @@
 //
 // Event payloads are three uint64 words (a, b, c) plus an interned name id
 // and the owning query id (q — stamped from the thread's QueryScope, see
-// obs/query_profile.h). Names (stage names, mostly) intern into a fixed
-// char pool so the fatal-signal dump path can read them without touching
-// the heap. The per-type payload conventions are listed next to EventType
-// below and mirrored in tools/idf_events.py.
+// obs/query_profile.h). Names (stage names and operator classes, mostly)
+// intern into a fixed char pool so the fatal-signal dump path can read them
+// without touching the heap; only bounded label sets may be interned. The
+// per-type payload conventions are listed next to EventType below and
+// mirrored in tools/idf_events.py.
 //
 // Ring size: 1 << IDF_EVENTS_RING_POW2 events (default 1 << 16), read once
 // at construction. Overwrites of not-yet-dumped slots count into the
@@ -36,9 +40,6 @@
 // JSONL to IDF_EVENTS_DIR/idf-crash-<pid>.events.jsonl using only
 // async-signal-safe calls (open/write, hand-rolled formatting), then the
 // default disposition is restored and the signal re-raised.
-//
-// IDF_FLIGHT_RECORDER=0 disables recording (for A/B overhead measurements;
-// see EXPERIMENTS.md — the recorder-on cost is within noise).
 #pragma once
 
 #include <atomic>
@@ -77,7 +78,7 @@ enum class EventType : uint8_t {
   // all of them; name = the query's label when one was given.
   kQuerySubmit = 19,   //             a=query id    b=reserved B   c=queue depth
   kQueryAdmit = 20,    //             a=query id    b=reserved B   c=queued micros
-  kQueryReject = 21,   //             a=query id    b=reserved B   c=0 queue full / 1 reservation
+  kQueryReject = 21,   //             a=query id    b=reserved B   c=0 queue full / 1 reservation / 2 shut down
   kQueryStart = 22,    //             a=query id    b=reserved B   c=priority
   kQueryFinish = 23,   //             a=query id    b=status code  c=run micros
   kQueryCancel = 24,   //             a=query id    b=0 queued / 1 running  c=micros since submit
@@ -92,6 +93,15 @@ enum class EventType : uint8_t {
   // Recorded once at construction and again by the crash handler so every
   // journal — however lapped — says which binary wrote it.
   kBuildInfo = 28,     //             a=uptime secs b=0            c=0
+  // Span structure (tools/idf_events.py --chrome-trace pairs begin/end per
+  // thread). Stage events are recorded on the driver thread around a whole
+  // RunStage / fused shuffle stage; every task event of the stage falls
+  // between them. Operator events bracket PhysicalOp::Execute; the name is
+  // the operator class ("FilterExec"), never plan text.
+  kStageBegin = 29,    // name=stage  a=tasks       b=0            c=0
+  kStageEnd = 30,      // name=stage  a=tasks       b=Σtask micros c=wall micros
+  kOpBegin = 31,       // name=op     a=0           b=0            c=0
+  kOpEnd = 32,         // name=op     a=rows out    b=bytes out    c=micros
 };
 
 /// Stable wire name for an event type ("task_start", "evict", ...); used by
@@ -128,14 +138,8 @@ class FlightRecorder {
   /// recorder reads it exactly once.
   static size_t RingCapacityFromEnv();
 
-  /// The process-wide recorder. Recording starts enabled unless
-  /// IDF_FLIGHT_RECORDER=0 was exported before first use.
+  /// The process-wide recorder; always recording.
   static FlightRecorder& Global();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void SetEnabled(bool enabled) {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
 
   /// Interns `name` into the fixed pool, returning its id (0 = no name).
   /// Idempotent per string; cold path (mutex + map). Callers cache the id —
@@ -145,11 +149,9 @@ class FlightRecorder {
 
   /// Records one event. Lock-free, allocation-free, ~10ns: a relaxed
   /// fetch_add to claim a slot plus relaxed stores. Safe from any thread.
-  /// The event is stamped with the thread's current query id and, for
-  /// cost-shaped types (steal, residency, spill/reload bytes, shuffle
-  /// stalls, task finish), also folded into the thread's QueryProfile —
-  /// attribution rides the existing event stream instead of a second set
-  /// of instrumentation sites.
+  /// The event is stamped with the thread's current query id and folded
+  /// into the registry metrics counting the same fact and, for cost-shaped
+  /// types, the thread's QueryProfile — the call site writes nothing else.
   void Record(EventType type, uint32_t name_id, uint64_t a, uint64_t b,
               uint64_t c);
 
@@ -226,13 +228,19 @@ class FlightRecorder {
 
   const char* NameAt(uint32_t id) const;  // "" for 0 / out of range
 
-  std::atomic<bool> enabled_{true};
+  /// Registry metrics folded from events (resolved once in the ctor).
+  struct FoldedMetrics;
+  /// Feeds `type`'s registry metrics and the current QueryProfile.
+  void Fold(EventType type, uint32_t name_id, uint64_t a, uint64_t b,
+            uint64_t c);
+
   std::atomic<uint64_t> head_{0};
   uint64_t epoch_ns_ = 0;  // steady_clock at construction
   size_t capacity_ = kCapacity;  // power of two, fixed at construction
   uint64_t mask_ = kCapacity - 1;
   std::vector<Slot> slots_;
   Counter* lapped_ = nullptr;  // obs.ring.lapped — overwritten-slot count
+  const FoldedMetrics* folded_ = nullptr;  // leaky, like the recorder
   uint32_t build_info_name_id_ = 0;  // interned at ctor for the crash path
   // Preallocated CopyValid buffer for the signal-safe dump (the crash path
   // must not allocate; exclusivity via the crash handler's dumping flag).

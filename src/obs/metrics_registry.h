@@ -1,5 +1,5 @@
-// Engine-wide metrics registry (observability layer, part 1 of 2 — spans
-// live in obs/trace.h).
+// Engine-wide metrics registry (observability layer; the event stream
+// that feeds most of these counters lives in obs/flight_recorder.h).
 //
 // Named, typed counters / gauges / histograms with cheap atomic updates.
 // Hot paths obtain a metric reference once (a function-local static or a
@@ -216,7 +216,7 @@ class Registry {
   std::map<std::string, Entry> metrics_;
 };
 
-/// JSON string escaping shared by the metrics/trace/log JSON emitters.
+/// JSON string escaping shared by the metrics/log/introspection emitters.
 std::string JsonEscape(const std::string& s);
 
 }  // namespace idf::obs

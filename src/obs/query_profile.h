@@ -22,14 +22,13 @@
 // pressure a query exerts on the shared budget.
 //
 // Accumulation: FlightRecorder::Record() feeds the current thread's profile
-// as a side effect of recording (steals, residency, spill/reload bytes,
-// shuffle stalls — every fed field has a 1:1 co-located metric increment,
-// which is what the conservation gate in tests/query_profile_test.cpp
-// checks). Task counts are fed directly by the engine next to the
-// `engine.tasks` counter (the one site where events and the metric
-// intentionally disagree: a pre-body cancellation records task_fail without
-// counting a task). Disabling the recorder (IDF_FLIGHT_RECORDER=0) disables
-// event-fed attribution too — that is the documented A/B lever.
+// from the same event that feeds the global metric (steals, residency,
+// spill/reload bytes, shuffle stalls and pushes) — one write per fact, so
+// the conservation gate in tests/query_profile_test.cpp (Σ profiles ==
+// metric delta) holds by construction. Task counts are fed directly by the
+// engine next to the `engine.tasks` counter (the one site where events and
+// the metric intentionally disagree: a pre-body cancellation records
+// task_fail without counting a task).
 //
 // Everything here is allocation-free and lock-free on the hot path: profile
 // fields are relaxed atomics, scope install is two thread-local writes plus

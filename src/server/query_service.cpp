@@ -17,23 +17,14 @@ namespace idf::server {
 
 namespace {
 
-/// server.* metric handles, resolved once (see obs/metrics_registry.h).
+/// server.* gauge handles, resolved once (see obs/metrics_registry.h). The
+/// lifecycle counters and time histograms (server.submitted, .admitted,
+/// .rejected, .cancelled, .deadline_expired, .queued.seconds,
+/// .query.seconds) are folded from the query_* flight-recorder events.
 struct ServerMetrics {
   obs::Gauge& queue_depth =
       obs::Registry::Global().GetGauge("server.queue_depth");
   obs::Gauge& running = obs::Registry::Global().GetGauge("server.running");
-  obs::Counter& submitted =
-      obs::Registry::Global().GetCounter("server.submitted");
-  obs::Counter& admitted = obs::Registry::Global().GetCounter("server.admitted");
-  obs::Counter& rejected = obs::Registry::Global().GetCounter("server.rejected");
-  obs::Counter& cancelled =
-      obs::Registry::Global().GetCounter("server.cancelled");
-  obs::Counter& expired =
-      obs::Registry::Global().GetCounter("server.deadline_expired");
-  obs::Histogram& query_seconds =
-      obs::Registry::Global().GetHistogram("server.query.seconds");
-  obs::Histogram& queued_seconds =
-      obs::Registry::Global().GetHistogram("server.queued.seconds");
 
   static ServerMetrics& Get() {
     static ServerMetrics* metrics = new ServerMetrics();
@@ -365,8 +356,7 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   rec->id = obs::AllocateQueryId();
   rec->control.set_query_id(rec->id);
   rec->label = std::move(options.label);
-  rec->name_id =
-      fr.enabled() && !rec->label.empty() ? fr.InternName(rec->label) : 0;
+  rec->name_id = fr.InternName(rec->label);
   rec->priority = options.priority;
   rec->reservation = options.reservation_bytes != 0
                          ? options.reservation_bytes
@@ -379,20 +369,19 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   }
   rec->work = std::move(work);
 
-  sm.submitted.Increment();
   Status reject;
+  RejectReason reason = RejectReason::kQueueFull;
   {
     std::lock_guard<std::mutex> lk(mu_);
     fr.Record(obs::EventType::kQuerySubmit, rec->name_id, rec->id,
               rec->reservation, queue_.size());
     if (stop_) {
       reject = Status::FailedPrecondition("query service is shut down");
+      reason = RejectReason::kShutDown;
     } else if (queue_.size() >= config_.max_queue) {
       reject = Status::ResourceExhausted(
           "admission queue full (" + std::to_string(queue_.size()) + " of " +
           std::to_string(config_.max_queue) + ")");
-      fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
-                rec->reservation, 0);
     } else {
       queue_.push_back(rec);
       live_.push_back(rec);
@@ -400,7 +389,7 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
     }
   }
   if (!reject.ok()) {
-    Finish(rec, QueryState::kRejected, std::move(reject));
+    Finish(rec, QueryState::kRejected, std::move(reject), reason);
   } else {
     work_cv_.notify_one();
   }
@@ -468,15 +457,11 @@ void QueryService::WorkerLoop() {
       continue;
     }
     if (rec->control.cancel_requested()) {
-      fr.Record(obs::EventType::kQueryCancel, rec->name_id, rec->id, 0,
-                static_cast<uint64_t>(now - rec->submit_us));
       Finish(rec, QueryState::kCancelled,
              Status::Cancelled("query cancelled while queued"));
       continue;
     }
     if (rec->deadline_us != 0 && now >= rec->deadline_us) {
-      fr.Record(obs::EventType::kQueryDeadline, rec->name_id, rec->id, 0,
-                static_cast<uint64_t>(now - rec->submit_us));
       Finish(rec, QueryState::kExpired,
              Status::DeadlineExceeded("deadline expired while queued"));
       continue;
@@ -489,22 +474,18 @@ void QueryService::WorkerLoop() {
     // over-sized query cannot idle the pool.
     const uint64_t budget = gov.budget_bytes();
     if (budget > 0 && rec->reservation > budget) {
-      fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
-                rec->reservation, 1);
-      sm.rejected.Increment();
       Finish(rec, QueryState::kRejected,
              Status::ResourceExhausted(
                  "reservation of " + std::to_string(rec->reservation) +
                  " bytes exceeds the whole budget (" + std::to_string(budget) +
-                 ")"));
+                 ")"),
+             RejectReason::kReservation);
       continue;
     }
     Status admit = gov.TryReserve(rec->reservation);
     if (!admit.ok() && config_.policy == AdmitPolicy::kReject) {
-      fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
-                rec->reservation, 1);
-      sm.rejected.Increment();
-      Finish(rec, QueryState::kRejected, std::move(admit));
+      Finish(rec, QueryState::kRejected, std::move(admit),
+             RejectReason::kReservation);
       continue;
     }
     bool resolved = false;
@@ -525,11 +506,6 @@ void QueryService::WorkerLoop() {
       Status check = rec->control.Check();
       if (!check.ok()) {
         const bool cancelled = check.code() == StatusCode::kCancelled;
-        fr.Record(cancelled ? obs::EventType::kQueryCancel
-                            : obs::EventType::kQueryDeadline,
-                  rec->name_id, rec->id, 0,
-                  static_cast<uint64_t>(QueryControl::NowMicros() -
-                                        rec->submit_us));
         Finish(rec,
                cancelled ? QueryState::kCancelled : QueryState::kExpired,
                std::move(check));
@@ -549,8 +525,6 @@ void QueryService::WorkerLoop() {
         static_cast<uint64_t>(admitted_at - rec->submit_us);
     fr.Record(obs::EventType::kQueryAdmit, rec->name_id, rec->id,
               rec->reservation, queued_us);
-    sm.admitted.Increment();
-    sm.queued_seconds.Observe(static_cast<double>(queued_us) * 1e-6);
     obs::QueryProfileRegistry::Global().Get(rec->id)->admission_wait_us
         .fetch_add(queued_us, std::memory_order_relaxed);
     RunQuery(rec);
@@ -590,17 +564,12 @@ void QueryService::RunQuery(const std::shared_ptr<QueryRecord>& rec) {
   const int64_t finished_at = QueryControl::NowMicros();
   const uint64_t run_us = static_cast<uint64_t>(finished_at - rec->start_us);
   sm.running.Add(-1);
-  sm.query_seconds.Observe(static_cast<double>(run_us) * 1e-6);
 
   QueryState state = QueryState::kDone;
   if (status.code() == StatusCode::kCancelled) {
     state = QueryState::kCancelled;
-    fr.Record(obs::EventType::kQueryCancel, rec->name_id, rec->id, 1,
-              static_cast<uint64_t>(finished_at - rec->submit_us));
   } else if (status.code() == StatusCode::kDeadlineExceeded) {
     state = QueryState::kExpired;
-    fr.Record(obs::EventType::kQueryDeadline, rec->name_id, rec->id, 1,
-              static_cast<uint64_t>(finished_at - rec->submit_us));
   } else if (!status.ok()) {
     state = QueryState::kFailed;
   }
@@ -633,9 +602,10 @@ void QueryService::RunQuery(const std::shared_ptr<QueryRecord>& rec) {
 }
 
 void QueryService::Finish(const std::shared_ptr<QueryRecord>& rec,
-                          QueryState state, Status status) {
-  ServerMetrics& sm = ServerMetrics::Get();
+                          QueryState state, Status status,
+                          RejectReason reason) {
   bool release = false;
+  bool started = false;
   {
     std::lock_guard<std::mutex> lk(rec->mu);
     if (Terminal(rec->state)) return;
@@ -644,16 +614,32 @@ void QueryService::Finish(const std::shared_ptr<QueryRecord>& rec,
     rec->finish_us = QueryControl::NowMicros();
     release = rec->reserved;
     rec->reserved = false;
+    started = rec->start_us != 0;
   }
   if (release) {
     mem::MemoryGovernor::Global().ReleaseReservation(rec->reservation);
     admission_cv_.notify_all();
   }
+  // The one event per unsuccessful outcome (it also feeds server.rejected /
+  // .cancelled / .deadline_expired).
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const uint64_t since_submit =
+      static_cast<uint64_t>(rec->finish_us - rec->submit_us);
   switch (state) {
-    case QueryState::kCancelled: sm.cancelled.Increment(); break;
-    case QueryState::kExpired: sm.expired.Increment(); break;
-    case QueryState::kRejected: sm.rejected.Increment(); break;
-    default: break;
+    case QueryState::kCancelled:
+      fr.Record(obs::EventType::kQueryCancel, rec->name_id, rec->id,
+                started ? 1 : 0, since_submit);
+      break;
+    case QueryState::kExpired:
+      fr.Record(obs::EventType::kQueryDeadline, rec->name_id, rec->id,
+                started ? 1 : 0, since_submit);
+      break;
+    case QueryState::kRejected:
+      fr.Record(obs::EventType::kQueryReject, rec->name_id, rec->id,
+                rec->reservation, static_cast<uint64_t>(reason));
+      break;
+    default:
+      break;
   }
   {
     std::lock_guard<std::mutex> lk(mu_);

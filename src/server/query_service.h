@@ -213,10 +213,19 @@ class QueryService {
   std::shared_ptr<detail::QueryRecord> PopLocked();
   /// Runs one admitted record on the calling driver thread.
   void RunQuery(const std::shared_ptr<detail::QueryRecord>& rec);
-  /// Transitions to a terminal state, releases the reservation, fires
-  /// events/metrics, and wakes waiters.
+  /// Why a query was rejected: the c word of its query_reject event.
+  enum class RejectReason : uint64_t {
+    kQueueFull = 0,
+    kReservation = 1,  // larger than the budget, or kReject policy
+    kShutDown = 2,
+  };
+
+  /// Transitions to a terminal state, releases the reservation, records
+  /// the query_cancel / query_deadline / query_reject event of an
+  /// unsuccessful outcome (`reason` for a rejection), and wakes waiters.
   void Finish(const std::shared_ptr<detail::QueryRecord>& rec,
-              QueryState state, Status status);
+              QueryState state, Status status,
+              RejectReason reason = RejectReason::kQueueFull);
 
   Session& session_;
   QueryServiceConfig config_;

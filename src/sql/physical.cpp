@@ -6,7 +6,7 @@
 
 #include "common/timer.h"
 #include "mem/governor.h"
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 #include "sql/agg_internal.h"
 #include "sql/join_key.h"
 #include "sql/session.h"
@@ -24,34 +24,31 @@ std::string PhysicalOp::Explain(int indent) const {
 
 Result<TableHandle> PhysicalOp::Execute(Session& session,
                                         QueryMetrics& metrics) const {
-  obs::Span span("op", Describe());
-  if (metrics.op_profile == nullptr) {
-    // Regular execution: just the trace span (a no-op unless tracing is on).
-    return ExecuteImpl(session, metrics);
-  }
-
-  // EXPLAIN ANALYZE: attribute the query-total delta across this subtree to
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const uint32_t name_id = fr.InternName(OpName());
+  fr.Record(obs::EventType::kOpBegin, name_id, 0, 0, 0);
+  // EXPLAIN ANALYZE attributes the query-total delta across this subtree to
   // this node (inclusively; the renderer subtracts children for self time).
   // Operators execute sequentially on the driver, so snapshot-and-subtract
   // on the shared accumulator is race-free.
-  const TaskMetrics before = metrics.totals;
+  const TaskMetrics before =
+      metrics.op_profile != nullptr ? metrics.totals : TaskMetrics{};
   Stopwatch timer;
   Result<TableHandle> result = ExecuteImpl(session, metrics);
   const double elapsed = timer.ElapsedSeconds();
+  const uint64_t rows = result.ok() ? result->num_rows : 0;
+  const uint64_t bytes = result.ok() ? result->total_bytes : 0;
+  fr.Record(obs::EventType::kOpEnd, name_id, rows, bytes,
+            static_cast<uint64_t>(elapsed * 1e6));
+  if (metrics.op_profile == nullptr) return result;
 
   OpProfile& prof = (*metrics.op_profile)[this];
   if (prof.label.empty()) prof.label = Describe();
   ++prof.executions;
   prof.wall_seconds += elapsed;
   prof.inclusive.MergeFrom(metrics.totals.DeltaSince(before));
-  if (result.ok()) {
-    prof.rows_out += result->num_rows;
-    prof.bytes_out += result->total_bytes;
-    if (span.active()) {
-      span.AddArgInt("rows_out", result->num_rows);
-      span.AddArgInt("bytes_out", result->total_bytes);
-    }
-  }
+  prof.rows_out += rows;
+  prof.bytes_out += bytes;
   return result;
 }
 

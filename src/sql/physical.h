@@ -31,12 +31,15 @@ class PhysicalOp {
   virtual ~PhysicalOp() = default;
 
   /// Runs this operator (and its inputs), returning the materialized output.
-  /// Non-virtual: wraps the operator's ExecuteImpl with an "op" trace span
-  /// and, when `metrics.op_profile` is set (EXPLAIN ANALYZE), per-operator
-  /// accounting — rows/bytes out, wall time, and the inclusive TaskMetrics
-  /// delta attributed to this subtree.
+  /// Non-virtual: brackets the operator's ExecuteImpl with op_begin/op_end
+  /// flight-recorder events and, when `metrics.op_profile` is set (EXPLAIN
+  /// ANALYZE), per-operator accounting — rows/bytes out, wall time, and the
+  /// inclusive TaskMetrics delta attributed to this subtree.
   Result<TableHandle> Execute(Session& session, QueryMetrics& metrics) const;
 
+  /// The operator class ("FilterExec"): a bounded event label, unlike
+  /// Describe(), whose text embeds the plan's literals.
+  virtual const char* OpName() const = 0;
   virtual std::string Describe() const = 0;
   virtual const std::vector<std::shared_ptr<const PhysicalOp>>& children()
       const {
@@ -66,6 +69,7 @@ class ScanExec final : public PhysicalOp {
   explicit ScanExec(DatasetPtr dataset) : dataset_(std::move(dataset)) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "ScanExec"; }
   std::string Describe() const override {
     return "ScanExec " + dataset_->name();
   }
@@ -92,6 +96,7 @@ class FilterExec final : public UnaryExec {
       : UnaryExec(std::move(child)), predicate_(std::move(predicate)) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "FilterExec"; }
   std::string Describe() const override {
     return "FilterExec " + predicate_->ToString();
   }
@@ -106,6 +111,7 @@ class ProjectExec final : public UnaryExec {
       : UnaryExec(std::move(child)), columns_(std::move(columns)) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "ProjectExec"; }
   std::string Describe() const override;
 
  private:
@@ -130,6 +136,7 @@ class JoinExec final : public PhysicalOp {
 
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "JoinExec"; }
   std::string Describe() const override;
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
@@ -160,6 +167,7 @@ class UnionExec final : public PhysicalOp {
       : children_{std::move(left), std::move(right)} {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "UnionExec"; }
   std::string Describe() const override { return "UnionExec"; }
   const std::vector<PhysOpPtr>& children() const override { return children_; }
 
@@ -177,6 +185,7 @@ class SortExec final : public UnaryExec {
       : UnaryExec(std::move(child)), keys_(std::move(keys)) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "SortExec"; }
   std::string Describe() const override;
 
  private:
@@ -194,6 +203,7 @@ class HashAggExec final : public UnaryExec {
         aggs_(std::move(aggs)) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "HashAggExec"; }
   std::string Describe() const override { return "HashAggExec"; }
 
  private:
@@ -207,6 +217,7 @@ class LimitExec final : public UnaryExec {
       : UnaryExec(std::move(child)), limit_(limit) {}
   Result<TableHandle> ExecuteImpl(Session& session,
                                   QueryMetrics& metrics) const override;
+  const char* OpName() const override { return "LimitExec"; }
   std::string Describe() const override {
     return "LimitExec " + std::to_string(limit_);
   }

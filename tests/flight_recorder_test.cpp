@@ -45,7 +45,6 @@ using obs::FlightRecorder;
 
 TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-order-stage");
   const uint64_t base = fr.total_recorded();
   for (uint64_t i = 0; i < 100; ++i) {
@@ -73,15 +72,6 @@ TEST(FlightRecorderTest, RecordsAndSnapshotsInOrder) {
   EXPECT_EQ(matched, 100u);
 }
 
-TEST(FlightRecorderTest, DisabledRecorderDropsEvents) {
-  FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(false);
-  const uint64_t before = fr.total_recorded();
-  fr.Record(EventType::kEvict, 0, 1, 2, 3);
-  EXPECT_EQ(fr.total_recorded(), before);
-  fr.SetEnabled(true);
-}
-
 TEST(FlightRecorderTest, InternNameIsIdempotent) {
   FlightRecorder& fr = FlightRecorder::Global();
   const uint32_t a = fr.InternName("fr-intern-x");
@@ -99,7 +89,6 @@ TEST(FlightRecorderTest, InternNameIsIdempotent) {
 // the per-slot seqlock is exactly the kind of code a race detector eats.
 TEST(FlightRecorderTest, WraparoundUnderConcurrentWriters) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-wrap-stage");
   constexpr int kThreads = 8;
   const uint64_t per_thread = (FlightRecorder::kCapacity / kThreads) * 2;
@@ -152,7 +141,6 @@ TEST(FlightRecorderTest, WraparoundUnderConcurrentWriters) {
 
 TEST(FlightRecorderTest, JsonlLinesAreWellFormed) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-jsonl \"quoted\\stage\"");
   fr.Record(EventType::kEvict, name, 123, 456, 789);
   const std::string jsonl = fr.ToJsonl(4);
@@ -186,7 +174,6 @@ TEST(FlightRecorderTest, JsonlLinesAreWellFormed) {
 // normal path does — verified byte-for-byte here, no dying required.
 TEST(FlightRecorderTest, SignalSafeDumpMatchesToJsonl) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-dump-stage");
   for (uint64_t i = 0; i < 16; ++i) {
     fr.Record(EventType::kSpillWrite, name, i * 4096, 7, i);
@@ -222,7 +209,6 @@ TEST(FlightRecorderDeathTest, CrashHandlerDumpsDecodableJournal) {
   EXPECT_EXIT(
       {
         FlightRecorder& fr = FlightRecorder::Global();
-        fr.SetEnabled(true);
         const uint32_t name = fr.InternName("doomed-stage");
         fr.Record(EventType::kTaskStart, name, 3, 1, 0);
         fr.Record(EventType::kEvict, 0, 65536, 42, 5);
@@ -456,7 +442,6 @@ TEST(RegistryDeltaTest, CountersAndHistogramsDiff) {
 
 TEST(FlightRecorderTest, EventsCarryCurrentQueryId) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-q-stage");
   const uint64_t qid = obs::AllocateQueryId();
   {
@@ -499,7 +484,6 @@ TEST(FlightRecorderTest, RingCapacityFromEnvParsesAndRejects) {
 
 TEST(FlightRecorderTest, LappedCounterTracksRingOverwrites) {
   FlightRecorder& fr = FlightRecorder::Global();
-  fr.SetEnabled(true);
   const uint32_t name = fr.InternName("fr-lap-stage");
   // Make sure the ring has wrapped at least once before the baseline so
   // every further Record is an overwrite.

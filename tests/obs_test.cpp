@@ -1,12 +1,15 @@
 // Tests for the observability layer: metrics registry (concurrent updates,
-// JSON export), span tracing (nesting, Chrome trace well-formedness),
-// logging sinks, the new TaskMetrics fields, and EXPLAIN ANALYZE — including
-// the acceptance check that an indexed equi-join's reported per-operator
+// JSON export), span structure in the flight-recorder journal (operator and
+// stage begin/end nesting, Chrome trace rendering), logging sinks, the new
+// TaskMetrics fields, and EXPLAIN ANALYZE — including the acceptance check that an indexed equi-join's reported per-operator
 // rows, probe/hit counts, and COW/snapshot work match a known-cardinality
 // input.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,8 +19,9 @@
 #include "common/threadpool.h"
 #include "core/indexed_dataframe.h"
 #include "core/indexed_partition.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/query_profile.h"
 
 namespace idf {
 namespace {
@@ -237,94 +241,6 @@ TEST(MetricsRegistryTest, SnapshotSortedByName) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].name, "aa");
   EXPECT_EQ(snap[1].name, "zz");
-}
-
-// ---- tracing --------------------------------------------------------------
-
-class TracerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    obs::Tracer::Global().Clear();
-    obs::Tracer::Global().SetEnabled(true);
-  }
-  void TearDown() override {
-    obs::Tracer::Global().SetEnabled(false);
-    obs::Tracer::Global().Clear();
-  }
-};
-
-TEST_F(TracerTest, SpansNestViaThreadLocalStack) {
-  uint64_t outer_id = 0, inner_id = 0;
-  {
-    obs::Span outer("test", "outer");
-    ASSERT_TRUE(outer.active());
-    outer_id = obs::Span::CurrentId();
-    EXPECT_NE(outer_id, 0u);
-    {
-      obs::Span inner("test", "inner");
-      inner_id = obs::Span::CurrentId();
-      EXPECT_NE(inner_id, outer_id);
-      inner.AddArgInt("rows", 42);
-    }
-    EXPECT_EQ(obs::Span::CurrentId(), outer_id);
-  }
-  EXPECT_EQ(obs::Span::CurrentId(), 0u);
-
-  const auto events = obs::Tracer::Global().Snapshot();
-  ASSERT_EQ(events.size(), 2u);
-  // Snapshot is ordered by start time: outer starts first.
-  EXPECT_EQ(events[0].name, "outer");
-  EXPECT_EQ(events[0].parent_id, 0u);
-  EXPECT_EQ(events[1].name, "inner");
-  EXPECT_EQ(events[1].parent_id, outer_id);
-  EXPECT_EQ(events[1].span_id, inner_id);
-  EXPECT_GE(events[0].dur_us, events[1].dur_us);
-}
-
-TEST_F(TracerTest, DisabledSpansRecordNothing) {
-  obs::Tracer::Global().SetEnabled(false);
-  {
-    obs::Span span("test", "ghost");
-    EXPECT_FALSE(span.active());
-    EXPECT_EQ(obs::Span::CurrentId(), 0u);
-  }
-  EXPECT_TRUE(obs::Tracer::Global().Snapshot().empty());
-}
-
-TEST_F(TracerTest, EventsFromPoolThreadsAllLand) {
-  constexpr size_t kThreads = 4;
-  constexpr int kSpansPerThread = 50;
-  ThreadPool pool(kThreads);
-  pool.ParallelFor(kThreads, [&](size_t t) {
-    for (int i = 0; i < kSpansPerThread; ++i) {
-      obs::Span span("test", "t" + std::to_string(t));
-    }
-  });
-  const auto events = obs::Tracer::Global().Snapshot();
-  EXPECT_EQ(events.size(), kThreads * kSpansPerThread);
-}
-
-TEST_F(TracerTest, ChromeTraceJsonIsWellFormed) {
-  {
-    obs::Span outer("query", "q");
-    outer.AddArg("sql", "SELECT \"quoted\"\nnewline");
-    outer.AddArgNum("seconds", 0.25);
-    obs::Span inner("stage", "s");
-  }
-  const std::string chrome = obs::Tracer::Global().ToChromeJson();
-  EXPECT_TRUE(JsonChecker::Valid(chrome)) << chrome;
-  EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
-
-  const std::string jsonl = obs::Tracer::Global().ToJsonl();
-  std::istringstream lines(jsonl);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    EXPECT_TRUE(JsonChecker::Valid(line)) << line;
-    ++count;
-  }
-  EXPECT_EQ(count, 2);
 }
 
 // ---- logging sinks --------------------------------------------------------
@@ -639,6 +555,129 @@ TEST(ExplainAnalyzeTest, ExplainWithoutQueryIsAnError) {
   Session session(SmallOptions());
   EXPECT_FALSE(session.Sql("EXPLAIN").ok());
   EXPECT_FALSE(session.Sql("EXPLAIN ANALYZE").ok());
+}
+
+// ---- span structure in the journal ------------------------------------------
+//
+// Spans are begin/end event pairs in the flight-recorder ring: operators
+// (op_begin/op_end) and stages (stage_begin/stage_end) on the driver
+// thread, tasks (task_start/task_finish) on whichever thread ran them.
+
+/// This query's events, oldest first (the ring is process-wide).
+std::vector<obs::FlightEvent> EventsOfQuery(uint64_t query_id) {
+  std::vector<obs::FlightEvent> out;
+  for (obs::FlightEvent& e : obs::FlightRecorder::Global().Snapshot()) {
+    if (e.q == query_id) out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(TracerTest, SpansNestViaThreadLocalStack) {
+  JoinFixture fx;
+  const uint64_t query_id = obs::AllocateQueryId();
+  {
+    obs::QueryScope scope(query_id);
+    auto df = fx.session.Sql("SELECT pk FROM probe WHERE tag >= 100");
+    ASSERT_TRUE(df.ok()) << df.status().message();
+    auto rows = df->Collect();
+    ASSERT_TRUE(rows.ok()) << rows.status().message();
+    EXPECT_EQ(rows->rows.size(), 5u);
+  }
+  // Operator and stage events all come from the driver thread and pair up
+  // strictly, innermost first: every end closes the span on top of the
+  // stack, and a stage opens only inside an operator.
+  std::vector<const obs::FlightEvent*> stack;
+  std::vector<std::string> ops;
+  size_t max_depth = 0;
+  uint32_t driver_tid = 0;
+  const std::vector<obs::FlightEvent> events = EventsOfQuery(query_id);
+  for (const obs::FlightEvent& e : events) {
+    const bool begin = e.type == obs::EventType::kOpBegin ||
+                       e.type == obs::EventType::kStageBegin;
+    const bool end = e.type == obs::EventType::kOpEnd ||
+                     e.type == obs::EventType::kStageEnd;
+    if (!begin && !end) continue;
+    if (driver_tid == 0) driver_tid = e.tid;
+    EXPECT_EQ(e.tid, driver_tid) << obs::EventJson(e);
+    if (begin) {
+      if (e.type == obs::EventType::kStageBegin) {
+        ASSERT_FALSE(stack.empty());
+        EXPECT_EQ(stack.back()->type, obs::EventType::kOpBegin);
+      } else {
+        ops.push_back(e.name);
+      }
+      stack.push_back(&e);
+      max_depth = std::max(max_depth, stack.size());
+      continue;
+    }
+    ASSERT_FALSE(stack.empty()) << obs::EventJson(e);
+    EXPECT_EQ(stack.back()->name, e.name);
+    EXPECT_EQ(static_cast<int>(stack.back()->type) + 1,
+              static_cast<int>(e.type));
+    EXPECT_LE(stack.back()->ts_us, e.ts_us);
+    stack.pop_back();
+  }
+  EXPECT_TRUE(stack.empty());
+  // Operator events carry the class, never plan text with literals.
+  EXPECT_NE(std::find(ops.begin(), ops.end(), "FilterExec"), ops.end());
+  for (const std::string& op : ops) {
+    EXPECT_EQ(op.find(' '), std::string::npos) << op;
+  }
+  EXPECT_GE(max_depth, 3u);  // op > op > stage at least
+}
+
+TEST(TracerTest, EventsFromPoolThreadsAllLand) {
+  constexpr size_t kThreads = 4;
+  constexpr int kEventsPerThread = 50;
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const uint32_t name = fr.InternName("pool-thread-op");
+  const uint64_t query_id = obs::AllocateQueryId();
+  ThreadPool pool(kThreads);
+  pool.ParallelFor(kThreads, [&](size_t) {
+    obs::QueryScope scope(query_id);
+    for (int i = 0; i < kEventsPerThread; ++i) {
+      fr.Record(obs::EventType::kOpBegin, name, 0, 0, 0);
+      fr.Record(obs::EventType::kOpEnd, name, 1, 2, 3);
+    }
+  });
+  const std::vector<obs::FlightEvent> events = EventsOfQuery(query_id);
+  EXPECT_EQ(events.size(), kThreads * kEventsPerThread * 2);
+  for (const obs::FlightEvent& e : events) {
+    EXPECT_EQ(e.name, "pool-thread-op");
+    EXPECT_GT(e.tid, 0u);
+  }
+}
+
+TEST(TracerTest, ChromeTraceJsonIsWellFormed) {
+  if (std::system("python3 -c '' >/dev/null 2>&1") != 0) {
+    GTEST_SKIP() << "python3 not available";
+  }
+  JoinFixture fx;
+  {
+    obs::QueryScope scope(obs::AllocateQueryId());
+    ASSERT_TRUE(fx.indexed.Join(fx.probe, "pk").Collect().ok());
+  }
+  const std::string base = ::testing::TempDir() + "/chrome_trace_" +
+                           std::to_string(::getpid());
+  const std::string journal = base + ".events.jsonl";
+  const std::string trace = base + ".trace.json";
+  ASSERT_TRUE(obs::FlightRecorder::Global().DumpJsonl(journal).ok());
+  const std::string cmd = "python3 " + std::string(IDF_SOURCE_DIR) +
+                          "/tools/idf_events.py '" + journal +
+                          "' --chrome-trace '" + trace + "' > /dev/null";
+  ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  std::ifstream in(trace);
+  std::stringstream raw;
+  raw << in.rdbuf();
+  const std::string chrome = raw.str();
+  EXPECT_TRUE(JsonChecker::Valid(chrome)) << chrome.substr(0, 400);
+  EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"cat\":\"stage\""), std::string::npos);
+  EXPECT_NE(chrome.find("\"cat\":\"task\""), std::string::npos);
+  EXPECT_NE(chrome.find("IndexedJoinExec"), std::string::npos);
+  std::remove(journal.c_str());
+  std::remove(trace.c_str());
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 // gate, the sum over all profiles (including the unattributed bucket 0) of
 // spilled/reloaded bytes, evictions, tasks, steals, and residency hits/
 // misses must equal the corresponding global mem.*/engine.*/sched.* metric
-// deltas exactly. Plus: attribution determinism across reruns (label-keyed
-// task counts), QueryScope semantics, and the /queries/<id> endpoint.
+// deltas exactly. Plus: the event -> metric fold (every folded registry
+// metric moves by exactly its event type's count or payload sum),
+// attribution determinism across reruns (label-keyed task counts),
+// QueryScope semantics, and the /queries/<id> endpoint.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,14 +17,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/indexed_dataframe.h"
 #include "mem/governor.h"
+#include "obs/flight_recorder.h"
 #include "obs/introspect.h"
 #include "obs/metrics_registry.h"
 #include "obs/query_profile.h"
@@ -286,6 +291,165 @@ TEST(QueryProfileTest, ConservationUnderBudgetedConcurrentServe) {
     EXPECT_GT(snap.task_wall_us, 0u) << "query " << h.id();
     EXPECT_FALSE(snap.stages.empty()) << "query " << h.id();
   }
+}
+
+// ---- event -> metric fold --------------------------------------------------
+
+/// How a folded metric is derived from its event type.
+enum class Fold { kCount, kSumA, kHistCount };
+
+struct FoldPair {
+  obs::EventType type;
+  const char* metric;
+  Fold how;
+};
+
+/// Every event/metric pair FlightRecorder::Record() folds. The call sites
+/// keep no co-located increment, so each registry delta over a window must
+/// equal what the journal holds for that window.
+const FoldPair kFoldPairs[] = {
+    {obs::EventType::kSteal, "engine.scheduler.steals", Fold::kCount},
+    {obs::EventType::kResidentHit, "sched.resident_hits", Fold::kCount},
+    {obs::EventType::kResidentMiss, "sched.resident_misses", Fold::kCount},
+    {obs::EventType::kEvict, "mem.evictions", Fold::kCount},
+    {obs::EventType::kSpillWrite, "mem.spill.write_bytes", Fold::kSumA},
+    {obs::EventType::kReloadDemand, "mem.reload_faults", Fold::kCount},
+    {obs::EventType::kReloadDemand, "mem.reload.read_bytes", Fold::kSumA},
+    {obs::EventType::kReloadPrefetch, "mem.prefetch.reloads", Fold::kCount},
+    {obs::EventType::kReloadPrefetch, "mem.prefetch.read_bytes", Fold::kSumA},
+    {obs::EventType::kPrefetchSkip, "mem.prefetch.skipped", Fold::kCount},
+    {obs::EventType::kShufflePush, "engine.shuffle.pushed_bytes", Fold::kSumA},
+    {obs::EventType::kShuffleStall, "engine.shuffle.stall_seconds",
+     Fold::kHistCount},
+    {obs::EventType::kRecoveryBlock, "engine.recovery.blocks", Fold::kCount},
+    {obs::EventType::kRecoveryBlock, "engine.recovery.seconds",
+     Fold::kHistCount},
+    {obs::EventType::kExecutorKill, "engine.executors.killed", Fold::kCount},
+    {obs::EventType::kStageEnd, "engine.stages", Fold::kCount},
+    {obs::EventType::kStageEnd, "engine.stage.real_seconds", Fold::kHistCount},
+    {obs::EventType::kStageEnd, "engine.stage.wall_seconds", Fold::kHistCount},
+    {obs::EventType::kQuerySubmit, "server.submitted", Fold::kCount},
+    {obs::EventType::kQueryAdmit, "server.admitted", Fold::kCount},
+    {obs::EventType::kQueryAdmit, "server.queued.seconds", Fold::kHistCount},
+    {obs::EventType::kQueryReject, "server.rejected", Fold::kCount},
+    {obs::EventType::kQueryCancel, "server.cancelled", Fold::kCount},
+    {obs::EventType::kQueryDeadline, "server.deadline_expired", Fold::kCount},
+    {obs::EventType::kQueryFinish, "server.query.seconds", Fold::kHistCount},
+};
+
+TEST(EventFoldTest, RegistryDeltasEqualEventTotalsUnderBudgetedConcurrentServe) {
+  constexpr int64_t kRows = 8000;
+  Session session(ServeClusterOptions());
+  IndexOptions index_options;
+  index_options.batch_capacity = 4 << 10;
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(kRows));
+  auto probe = *session.CreateTable("probe", EdgeSchema(), DenseEdges(300));
+  auto indexed = *IndexedDataFrame::Create(edges, "src", index_options);
+  indexed.RegisterAs("indexed_edges");
+  auto extra_a =
+      *session.CreateTable("extra_a", EdgeSchema(), DenseEdges(1200, 7));
+  auto extra_b =
+      *session.CreateTable("extra_b", EdgeSchema(), DenseEdges(900, 31));
+  std::vector<Mixed> workload =
+      BuildWorkload(indexed, "indexed_edges", probe, extra_a, extra_b);
+
+  mem::MemoryGovernor& gov = mem::MemoryGovernor::Global();
+  const uint64_t budget_bytes =
+      std::max<uint64_t>(gov.resident_bytes() / 4, 256 << 10);
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const uint64_t first_seq = fr.total_recorded();
+  obs::RegistryDelta delta;
+  mem::ScopedBudget budget(budget_bytes);
+  {
+    QueryService service(session,
+                         ServeConfig(/*workers=*/4, budget_bytes / 8));
+    std::vector<QueryHandle> handles;
+    for (Mixed& m : workload) {
+      QueryOptions options;
+      options.label = m.name;
+      handles.push_back(service.Submit(m.work, options));
+    }
+    // One of each unsuccessful outcome: a reservation larger than the whole
+    // budget (rejected), a cancelled query and an expired one. Both sleep
+    // far longer than it takes to cancel or to pass the deadline.
+    const server::QueryWork slow = [](server::QueryContext&) -> Status {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::OK();
+    };
+    QueryOptions too_big;
+    too_big.reservation_bytes = budget_bytes * 2;
+    QueryHandle rejected = service.Submit(slow, too_big);
+    QueryHandle cancelled = service.Submit(slow, {});
+    cancelled.Cancel();
+    QueryOptions hurried;
+    hurried.deadline_seconds = 1e-6;
+    QueryHandle expired = service.Submit(slow, hurried);
+    for (size_t i = 0; i < handles.size(); ++i) {
+      ASSERT_TRUE(handles[i].Wait().ok())
+          << workload[i].name << ": " << handles[i].status().ToString();
+    }
+    EXPECT_EQ(rejected.Wait().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(cancelled.Wait().code(), StatusCode::kCancelled);
+    EXPECT_EQ(expired.Wait().code(), StatusCode::kDeadlineExceeded);
+    service.Shutdown(/*cancel_pending=*/false);
+  }
+  // Lose an executor and read every partition again: lineage recovery.
+  session.cluster().KillExecutor(1);
+  ASSERT_TRUE(indexed.Join(probe, "src").Collect().ok());
+  gov.DrainPrefetchForTesting();
+
+  // The window must sit entirely inside the ring, or the journal undercounts.
+  const uint64_t window = fr.total_recorded() - first_seq;
+  ASSERT_LE(window, fr.capacity()) << "the ring lapped inside the window";
+  std::map<obs::EventType, uint64_t> count;
+  std::map<obs::EventType, uint64_t> sum_a;
+  uint64_t seen = 0;
+  uint64_t stage_task_us = 0;
+  uint64_t stage_wall_us = 0;
+  for (const obs::FlightEvent& e : fr.Snapshot()) {
+    if (e.seq < first_seq) continue;
+    ++seen;
+    ++count[e.type];
+    sum_a[e.type] += e.a;
+    if (e.type == obs::EventType::kStageEnd) {
+      stage_task_us += e.b;
+      stage_wall_us += e.c;
+    }
+  }
+  ASSERT_EQ(seen, window);
+
+  const std::vector<obs::MetricSnapshot> deltas = delta.Deltas();
+  auto find = [&](const std::string& name) {
+    for (const obs::MetricSnapshot& m : deltas) {
+      if (m.name == name) return m;
+    }
+    return obs::MetricSnapshot{};
+  };
+  for (const FoldPair& pair : kFoldPairs) {
+    const obs::MetricSnapshot m = find(pair.metric);
+    const uint64_t got =
+        pair.how == Fold::kHistCount ? m.count : m.counter_value;
+    const uint64_t want =
+        pair.how == Fold::kSumA ? sum_a[pair.type] : count[pair.type];
+    EXPECT_EQ(got, want) << pair.metric << " vs "
+                         << obs::EventTypeName(pair.type);
+  }
+  // Histogram sums follow the payload: stage task time and wall.
+  EXPECT_NEAR(find("engine.stage.real_seconds").sum, stage_task_us * 1e-6,
+              1e-6);
+  EXPECT_NEAR(find("engine.stage.wall_seconds").sum, stage_wall_us * 1e-6,
+              1e-6);
+
+  // The window exercised the machinery each pair describes.
+  EXPECT_GT(count[obs::EventType::kStageEnd], 0u);
+  EXPECT_GT(sum_a[obs::EventType::kSpillWrite], 0u);
+  EXPECT_GT(sum_a[obs::EventType::kShufflePush], 0u);
+  EXPECT_GT(count[obs::EventType::kRecoveryBlock], 0u);
+  EXPECT_EQ(count[obs::EventType::kExecutorKill], 1u);
+  EXPECT_EQ(count[obs::EventType::kQuerySubmit], workload.size() + 3);
+  EXPECT_EQ(count[obs::EventType::kQueryReject], 1u);
+  EXPECT_EQ(count[obs::EventType::kQueryCancel], 1u);
+  EXPECT_EQ(count[obs::EventType::kQueryDeadline], 1u);
 }
 
 // ---- determinism across reruns ----------------------------------------------

@@ -17,8 +17,9 @@
 #include "core/indexed_dataframe.h"
 #include "engine/cluster.h"
 #include "mem/governor.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
-#include "obs/trace.h"
+#include "obs/query_profile.h"
 #include "sql/columnar.h"
 #include "sql/session.h"
 
@@ -217,9 +218,6 @@ TEST(SchedulerStressTest, ConcurrentQueriesOnSharedCachedIndexedTable) {
 // Task spans created on pool threads must still nest under the stage span
 // that lives on the driver's stack.
 TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
-  obs::Tracer& tracer = obs::Tracer::Global();
-  tracer.SetEnabled(true);
-  tracer.Clear();
   ClusterConfig config;
   config.num_workers = 2;
   config.executors_per_worker = 2;
@@ -239,26 +237,44 @@ TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
                                    },
                                    {}});
   }
-  ASSERT_TRUE(cluster.RunStage(stage).ok());
-  tracer.SetEnabled(false);
-  const std::vector<obs::TraceEvent> events = tracer.Snapshot();
-  uint64_t stage_id = 0;
-  for (const obs::TraceEvent& ev : events) {
-    if (std::string(ev.category) == "stage" && ev.name == "traced-stage") {
-      stage_id = ev.span_id;
+  const uint64_t query_id = obs::AllocateQueryId();
+  {
+    obs::QueryScope scope(query_id);
+    ASSERT_TRUE(cluster.RunStage(stage).ok());
+  }
+  // The stage's begin/end pair is recorded on the driver; every task event
+  // of the stage — from the pool threads — falls between them in the
+  // ring's total order (seq) and in time.
+  const obs::FlightEvent* begin = nullptr;
+  const obs::FlightEvent* end = nullptr;
+  std::vector<obs::FlightEvent> tasks;
+  const std::vector<obs::FlightEvent> events =
+      obs::FlightRecorder::Global().Snapshot();
+  for (const obs::FlightEvent& e : events) {
+    if (e.q != query_id || e.name != "traced-stage") continue;
+    if (e.type == obs::EventType::kStageBegin) begin = &e;
+    if (e.type == obs::EventType::kStageEnd) end = &e;
+    if (e.type == obs::EventType::kTaskStart ||
+        e.type == obs::EventType::kTaskFinish) {
+      tasks.push_back(e);
     }
   }
-  ASSERT_NE(stage_id, 0u);
-  int task_events = 0;
-  for (const obs::TraceEvent& ev : events) {
-    if (std::string(ev.category) == "task" &&
-        ev.name.rfind("traced-stage #", 0) == 0) {
-      EXPECT_EQ(ev.parent_id, stage_id) << ev.name;
-      ++task_events;
-    }
+  ASSERT_NE(begin, nullptr);
+  ASSERT_NE(end, nullptr);
+  EXPECT_EQ(begin->tid, end->tid);
+  EXPECT_EQ(end->a, 8u);  // task count
+  EXPECT_LE(end->b, 8u * end->c + 8u);  // Σtask micros <= 8 * wall (+rounding)
+  EXPECT_GE(end->b, 8u * 1000u);  // each task slept >= 1 ms
+  ASSERT_EQ(tasks.size(), 16u);
+  bool off_driver = false;
+  for (const obs::FlightEvent& t : tasks) {
+    EXPECT_GT(t.seq, begin->seq);
+    EXPECT_LT(t.seq, end->seq);
+    EXPECT_GE(t.ts_us, begin->ts_us);
+    EXPECT_LE(t.ts_us, end->ts_us);
+    off_driver = off_driver || t.tid != begin->tid;
   }
-  EXPECT_EQ(task_events, 8);
-  tracer.Clear();
+  EXPECT_TRUE(off_driver) << "no task ran on a pool thread";
 }
 
 // ---- spill-aware scheduling (residency map x dispatch order) ---------------

@@ -652,5 +652,84 @@ TEST(ShuffleLivenessTest, BudgetedShuffleNeverStrandsTheMinimalMap) {
   EXPECT_EQ(rows_from, std::vector<uint64_t>(kMaps, rows_per_map));
 }
 
+TEST(ShufflePipelineTest, HelpedSlowMapsDoNotInflateTheFusedStageDes) {
+  // A reduce task that outpaces its producers runs pending map tasks
+  // through its idle hook and parks on its channel; neither is its own
+  // compute. The DES charges the helped maps as their own tasks and leaves
+  // both out of the reducer, so the simulated makespan (and the summed task
+  // compute) at 4 scheduler threads stays that of the 1-thread run (maps,
+  // then trivial reduces).
+  ::unsetenv("IDF_PARALLEL");
+  static constexpr uint32_t kMaps = 8;
+  static constexpr uint32_t kReduces = 2;
+  auto run = [&](uint32_t threads, uint64_t* steals) {
+    ClusterConfig config;
+    config.num_workers = 2;
+    config.executors_per_worker = 2;
+    config.cores_per_executor = 1;
+    config.scheduler_threads = threads;
+    Cluster cluster(config);
+    const uint64_t id = cluster.shuffle().NewShuffle(kMaps, kReduces);
+    StageSpec map_stage;
+    map_stage.name = "slow map";
+    for (uint32_t m = 0; m < kMaps; ++m) {
+      map_stage.tasks.push_back(TaskSpec{
+          kAnyExecutor,
+          {},
+          0,
+          [&cluster, id, m](TaskContext& ctx) -> Status {
+            std::this_thread::sleep_for(std::chrono::milliseconds(15));
+            ShuffleWriter writer(cluster.shuffle(), id, m, kReduces,
+                                 ctx.executor(), kReduces);
+            const uint8_t row[8] = {8, 0, 0, 0, 1, 2, 3, 4};
+            for (uint32_t r = 0; r < kReduces; ++r) {
+              IDF_RETURN_IF_ERROR(writer.Append(r, row, sizeof(row)));
+            }
+            return writer.Finish();
+          },
+          {}});
+    }
+    StageSpec reduce_stage;
+    reduce_stage.name = "eager reduce";
+    for (uint32_t r = 0; r < kReduces; ++r) {
+      reduce_stage.tasks.push_back(TaskSpec{
+          kAnyExecutor,
+          {},
+          0,
+          [id, r](TaskContext& ctx) -> Status {
+            RoutedBufferStream in = OpenReduceStream(ctx, id, r);
+            for (;;) {
+              IDF_ASSIGN_OR_RETURN(std::shared_ptr<const ShuffleBuffer> buf,
+                                   in.Next());
+              if (buf == nullptr) return Status::OK();
+            }
+          },
+          {}});
+    }
+    obs::RegistryDelta delta;
+    Result<StageMetrics> metrics =
+        cluster.RunShuffleStages(id, map_stage, reduce_stage);
+    IDF_CHECK_OK(metrics.status());
+    *steals = delta.Counter("engine.scheduler.steals");
+    return *metrics;
+  };
+  uint64_t steals_1 = 0;
+  uint64_t steals_4 = 0;
+  const StageMetrics serial = run(1, &steals_1);
+  const StageMetrics parallel = run(4, &steals_4);
+  EXPECT_EQ(steals_1, 0u);
+  EXPECT_GT(steals_4, 0u) << "no reducer helped a map; nothing was tested";
+  // The 1-thread DES makespan: 8 maps of >= 15 ms over 4 simulated slots.
+  EXPECT_GE(serial.simulated_seconds, 0.030);
+  EXPECT_LE(parallel.simulated_seconds, serial.simulated_seconds * 1.25)
+      << "serial " << serial.simulated_seconds << " s, 4 threads "
+      << parallel.simulated_seconds << " s";
+  // The task compute totals behind EXPLAIN ANALYZE leave the same time out.
+  EXPECT_LE(parallel.totals.compute_seconds,
+            serial.totals.compute_seconds * 1.25)
+      << "serial " << serial.totals.compute_seconds << " s, 4 threads "
+      << parallel.totals.compute_seconds << " s";
+}
+
 }  // namespace
 }  // namespace idf

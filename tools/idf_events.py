@@ -12,12 +12,20 @@ Every event carries a `q` field: the id of the query whose work produced
 it (0 = unattributed background work). `--query N` narrows every view to
 one query; the summary always ends with a per-query attribution table.
 
+`--chrome-trace OUT` renders the journal as a Chrome trace_event file
+(load it in chrome://tracing or https://ui.perfetto.dev): begin/end pairs
+on one thread — stage_begin/stage_end, op_begin/op_end, task_start/
+task_finish, query_start/query_finish — become complete ("X") spans, every
+other event an instant marker on its thread. Works on any journal:
+--events-out dumps, /events tails, crash dumps.
+
 Usage:
   tools/idf_events.py journal.jsonl              # per-stage timeline
   tools/idf_events.py journal.jsonl --summary    # counts only
   tools/idf_events.py journal.jsonl --raw        # normalized event dump
   tools/idf_events.py journal.jsonl --query 7    # one query's events only
   tools/idf_events.py journal.jsonl --strict     # nonzero exit on bad input
+  tools/idf_events.py journal.jsonl --chrome-trace trace.json
 
 Malformed (truncated) lines and unknown event kinds are skipped and
 counted; they fail the run (exit 2) only under --strict, so a journal from
@@ -42,9 +50,20 @@ QUERY_EVENTS = {"query_submit", "query_admit", "query_reject", "query_start",
                 "query_finish", "query_cancel", "query_deadline"}
 CHAOS_EVENTS = {"chaos_arm", "chaos_fault"}
 META_EVENTS = {"crash", "build_info"}
+SPAN_EVENTS = {"stage_begin", "stage_end", "op_begin", "op_end"}
 
 KNOWN_EVENTS = (TASK_EVENTS | GOVERNOR_EVENTS | ENGINE_EVENTS |
-                SHUFFLE_EVENTS | QUERY_EVENTS | CHAOS_EVENTS | META_EVENTS)
+                SHUFFLE_EVENTS | QUERY_EVENTS | CHAOS_EVENTS | META_EVENTS |
+                SPAN_EVENTS)
+
+# Chrome-trace span kinds: begin type -> category, end type -> category.
+SPAN_BEGIN = {"stage_begin": "stage", "op_begin": "op",
+              "task_start": "task", "query_start": "query"}
+SPAN_END = {"stage_end": "stage", "op_end": "op", "task_finish": "task",
+            "task_fail": "task", "query_finish": "query"}
+
+QUERY_REJECT_REASONS = {0: "queue full", 1: "reservation does not fit",
+                        2: "service shut down"}
 
 # chaos_fault packs a = site << 8 | kind (see idf::chaos::Site / Fault).
 CHAOS_SITES = {1: "task", 2: "reload", 3: "shuffle-push", 4: "shuffle-pull",
@@ -133,7 +152,7 @@ def describe(ev):
         return (f"query {a} admitted (reservation {fmt_bytes(b)}, "
                 f"queued {c / 1000.0:.1f}ms)")
     if t == "query_reject":
-        reason = "queue full" if c == 0 else "reservation does not fit"
+        reason = QUERY_REJECT_REASONS.get(c, f"reason {c}")
         return f"query {a} REJECTED ({reason}, reservation {fmt_bytes(b)})"
     if t == "query_start":
         return f"query {a} start (reservation {fmt_bytes(b)}, priority {c})"
@@ -150,7 +169,17 @@ def describe(ev):
     if t == "recovery_block":
         return f"recovery: recomputed rdd={a} partition={b} ({c} us)"
     if t == "executor_kill":
-        return f"executor {b} killed, {c} blocks lost"
+        return f"executor {a} killed, {b} blocks lost"
+    if t == "stage_begin":
+        return f"stage {ev.get('name', '?')!r} begin ({a} tasks)"
+    if t == "stage_end":
+        return (f"stage {ev.get('name', '?')!r} end ({a} tasks, "
+                f"{b / 1000.0:.1f}ms task time, {c / 1000.0:.1f}ms wall)")
+    if t == "op_begin":
+        return f"operator {ev.get('name', '?')} begin"
+    if t == "op_end":
+        return (f"operator {ev.get('name', '?')} end ({a} rows, "
+                f"{fmt_bytes(b)}, {c / 1000.0:.1f}ms)")
     if t == "chaos_arm":
         return f"chaos armed, seed {a} (replay with IDF_CHAOS_SEED={a})"
     if t == "chaos_fault":
@@ -292,6 +321,22 @@ def print_summary(events, out=sys.stdout):
         kinds = ", ".join(f"{k}={n}" for k, n in sorted(by_kind.items()))
         print(f"  chaos: armed seeds {seeds}, {len(faults)} faults injected"
               + (f" ({kinds})" if kinds else ""), file=out)
+    stage_ends = [e for e in events if e["type"] == "stage_end"]
+    if stage_ends:
+        wall_us = sum(e.get("c", 0) for e in stage_ends)
+        task_us = sum(e.get("b", 0) for e in stage_ends)
+        print(f"  stages: {len(stage_ends)} finished, "
+              f"wall {wall_us / 1000.0:.1f}ms, "
+              f"task time {task_us / 1000.0:.1f}ms", file=out)
+    op_us = defaultdict(int)
+    op_count = Counter()
+    for e in events:
+        if e["type"] == "op_end":
+            op_count[e.get("name", "?")] += 1
+            op_us[e.get("name", "?")] += e.get("c", 0)
+    for name, n in sorted(op_count.items()):
+        print(f"  operator {name}: {n} runs, "
+              f"{op_us[name] / 1000.0:.1f}ms inclusive", file=out)
     by_stage = defaultdict(Counter)
     for e in events:
         if e["type"] in TASK_EVENTS and e.get("name"):
@@ -337,6 +382,115 @@ def print_query_table(events, out=sys.stdout):
         print(f"    q={q:<4} {', '.join(parts)} {who}".rstrip(), file=out)
 
 
+def span_key(ev):
+    """What a begin and its end share on one thread (besides the kind)."""
+    t = ev["type"]
+    if t in ("task_start", "task_finish", "task_fail"):
+        return (ev.get("name", ""), ev.get("a", 0))
+    if t in ("query_start", "query_finish"):
+        return ev.get("a", 0)
+    return ev.get("name", "")
+
+
+def span_name(cat, ev):
+    if cat == "task":
+        return f"{ev.get('name', '?')} #{ev.get('a', 0)}"
+    if cat == "query":
+        return ev.get("name") or f"query {ev.get('a', 0)}"
+    return ev.get("name", "?")
+
+
+def span_args(cat, begin, end):
+    args = {"q": begin.get("q", 0)}
+    if cat == "task":
+        args.update(stage=begin.get("name", ""), task=begin.get("a", 0),
+                    executor=begin.get("b", 0))
+        if end is not None and end["type"] == "task_fail":
+            args["failed"] = True
+    elif cat == "stage" and end is not None:
+        args.update(tasks=end.get("a", 0), task_us=end.get("b", 0),
+                    wall_us=end.get("c", 0))
+    elif cat == "op" and end is not None:
+        args.update(rows=end.get("a", 0), bytes=end.get("b", 0))
+    elif cat == "query":
+        args["query"] = begin.get("a", 0)
+        if end is not None:
+            args["status"] = end.get("b", 0)
+    return args
+
+
+def chrome_trace(events):
+    """Pairs begin/end events per thread into complete ("X") spans; every
+    other event becomes a thread-scoped instant. Returns (trace dict, stats).
+
+    An end closes the innermost open span of its kind and key on its
+    thread; spans opened above it that never ended (a failed stage, a
+    reload fault unwinding an operator) close with it, marked
+    "unterminated". Ends whose begin is not in the journal (the ring lapped
+    past it, or a task cancelled before its body ran) are dropped and
+    counted; spans still open at the end of the journal (a crash dump) end
+    at the journal's last timestamp, marked "open"."""
+    out = []
+    stacks = defaultdict(list)  # tid -> [(cat, key, begin event)]
+    stats = Counter()
+
+    def emit(cat, begin, end_ts, end, **flags):
+        args = span_args(cat, begin, end)
+        args.update(flags)
+        out.append({"name": span_name(cat, begin), "cat": cat, "ph": "X",
+                    "ts": begin["ts_us"],
+                    "dur": max(0, end_ts - begin["ts_us"]), "pid": 1,
+                    "tid": begin.get("tid", 0), "args": args})
+        stats["spans"] += 1
+
+    for ev in events:
+        t = ev["type"]
+        tid = ev.get("tid", 0)
+        if t in SPAN_BEGIN:
+            stacks[tid].append((SPAN_BEGIN[t], span_key(ev), ev))
+            continue
+        if t in SPAN_END:
+            cat, key = SPAN_END[t], span_key(ev)
+            stack = stacks[tid]
+            at = next((i for i in range(len(stack) - 1, -1, -1)
+                       if stack[i][0] == cat and stack[i][1] == key), None)
+            if at is None:
+                stats["unmatched_ends"] += 1
+                continue
+            for inner_cat, _, inner in stack[at + 1:]:
+                emit(inner_cat, inner, ev["ts_us"], None, unterminated=True)
+                stats["unterminated"] += 1
+            emit(cat, stack[at][2], ev["ts_us"], ev)
+            del stack[at:]
+            continue
+        out.append({"name": t, "cat": "event", "ph": "i", "s": "t",
+                    "ts": ev.get("ts_us", 0), "pid": 1, "tid": tid,
+                    "args": {"q": ev.get("q", 0), "detail": describe(ev)}})
+        stats["instants"] += 1
+    last_ts = events[-1]["ts_us"] if events else 0
+    for stack in stacks.values():
+        for cat, _, begin in stack:
+            emit(cat, begin, last_ts, None, open=True)
+            stats["open"] += 1
+    out.sort(key=lambda e: (e["ts"], e["tid"]))
+    return {"traceEvents": out, "displayTimeUnit": "ms"}, stats
+
+
+def write_chrome_trace(events, path):
+    first_seq = min((e.get("seq", 0) for e in events), default=0)
+    if first_seq > 0:
+        print(f"warning: journal starts at seq {first_seq}: the ring lapped "
+              f"(or this is a tail slice), so spans begun before it are "
+              f"missing", file=sys.stderr)
+    trace, stats = chrome_trace(events)
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(trace, f, separators=(",", ":"))
+    print(f"chrome trace written to {path}: {stats['spans']} spans, "
+          f"{stats['instants']} instants ({stats['unmatched_ends']} ends "
+          f"without a begin dropped, {stats['unterminated']} unterminated, "
+          f"{stats['open']} still open)")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("journal", help="flight-recorder JSONL journal")
@@ -349,6 +503,9 @@ def main():
     parser.add_argument("--strict", action="store_true",
                         help="exit 2 when any line was malformed or any "
                              "event kind was unknown")
+    parser.add_argument("--chrome-trace", metavar="OUT",
+                        help="write the journal as a Chrome trace_event "
+                             "JSON file instead of printing a report")
     args = parser.parse_args()
 
     events, dropped, unknown = load_events(args.journal)
@@ -370,7 +527,9 @@ def main():
         print("no events in journal", file=sys.stderr)
         return 1
 
-    if args.summary:
+    if args.chrome_trace:
+        write_chrome_trace(events, args.chrome_trace)
+    elif args.summary:
         print_summary(events)
     elif args.raw:
         base_ts = events[0]["ts_us"]
