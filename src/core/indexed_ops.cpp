@@ -144,15 +144,12 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
       buckets[rdd->PartitionOf(probe_layout.KeyCode(ptr, probe_key))]
           .push_back(ptr);
     }
-    cluster.simulator().Broadcast(probe.total_bytes);
 
     StageSpec stage;
     stage.name = "indexed join (broadcast probe)";
     for (uint32_t p = 0; p < P; ++p) {
       stage.tasks.push_back(TaskSpec{
           cluster.HomeExecutorFor(rdd->rdd_id(), p),
-          {},
-          0,
           [&, p](TaskContext& ctx) -> Status {
             const std::vector<const uint8_t*>& mine = buckets[p];
             ctx.metrics().rows_read += mine.size();
@@ -181,8 +178,6 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
   for (uint32_t p = 0; p < probe.num_partitions; ++p) {
     map_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(probe.rdd_id, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           // `key_vec` is held across per-row encodes of the same chunk.
           // Declared before `scope`, which unpins it on exit: a chunk
@@ -216,8 +211,6 @@ Result<TableHandle> IndexedJoinExec::ExecuteImpl(Session& session,
   for (uint32_t p = 0; p < P; ++p) {
     reduce_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(rdd->rdd_id(), p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, p);
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
@@ -286,8 +279,6 @@ Result<TableHandle> IndexLookupExec::ExecuteImpl(Session& session,
   stage.name = "index lookup";
   stage.tasks.push_back(TaskSpec{
       cluster.HomeExecutorFor(rdd->rdd_id(), p),
-      {},
-      0,
       [&](TaskContext& ctx) -> Status {
         IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                              rdd->GetPartition(p, indexed_->version(), ctx));

@@ -161,8 +161,6 @@ Result<std::shared_ptr<IndexedRdd>> IndexedRdd::Restore(
   for (uint32_t p = 0; p < num_partitions; ++p) {
     stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(rdd->rdd_id_, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<IndexedPartition> part,
                                rdd->loader_(p));
@@ -252,8 +250,6 @@ Status IndexedRdd::ShuffleToPartitions(
   for (uint32_t p = 0; p < source.num_partitions; ++p) {
     map_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(source.rdd_id, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           // Scope: key_col stays valid across the encode loop even if the
           // budget enforcer runs while routed buffers allocate.
@@ -294,8 +290,6 @@ Status IndexedRdd::ShuffleToPartitions(
   for (uint32_t t = 0; t < num_partitions_; ++t) {
     reduce_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(rdd_id_, t),
-        {},
-        0,
         [&, t](TaskContext& ctx) -> Status {
           RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, t);
           return consume(ctx, t, in);
@@ -534,8 +528,6 @@ Result<TableHandle> IndexedDataset::ScanAsColumnar(
   for (uint32_t p = 0; p < rdd_->num_partitions(); ++p) {
     stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(rdd_->rdd_id(), p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           IDF_ASSIGN_OR_RETURN(std::shared_ptr<const IndexedPartition> part,
                                rdd_->GetPartition(p, version_, ctx));

@@ -24,18 +24,16 @@ namespace idf {
 
 namespace {
 
-/// Cached registry handles for the engine's directly fed per-task/per-stage
-/// metrics — resolved once, then one relaxed atomic op per update. Steals,
-/// residency, stage totals, recovery and executor kills are folded from
-/// their flight-recorder events by FlightRecorder::Record.
+/// Cached registry handles for the engine's directly fed per-task metrics —
+/// resolved once, then one relaxed atomic op per update. Steals, residency,
+/// stage totals, recovery and executor kills are folded from their
+/// flight-recorder events by FlightRecorder::Record.
 struct EngineMetrics {
   // Direct feed, not event-derived: a task cancelled before its body runs
   // records task_fail without counting a task.
   obs::Counter& tasks = obs::Registry::Global().GetCounter("engine.tasks");
   obs::Histogram& task_seconds =
       obs::Registry::Global().GetHistogram("engine.task.seconds");
-  obs::Histogram& stage_simulated_seconds =
-      obs::Registry::Global().GetHistogram("engine.stage.simulated_seconds");
 
   static EngineMetrics& Get() {
     static EngineMetrics* metrics = new EngineMetrics();
@@ -175,7 +173,6 @@ thread_local size_t Cluster::t_pipeline_home_ = 0;
 
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
-      simulator_(config),
       alive_(config.total_executors(), true) {
   IDF_CHECK_OK(config_.Validate());
   scheduler_threads_ = ResolveSchedulerThreads(config_);
@@ -662,17 +659,12 @@ Result<StageMetrics> Cluster::FinishStage(
       // DES compute is the task's own work: time a reducer spent running
       // map tasks through its idle hook or parked on its channel is left
       // out (the helped maps are simulated as their own tasks).
-      SimTask sim;
-      sim.compute_seconds =
-          tr.elapsed - tr.blocked + stage.tasks[i].extra_sim_seconds;
-      sim.preferred = half.plan->assigned[i];
-      sim.reads = stage.tasks[i].static_reads;
-      sim.reads.insert(sim.reads.end(), tr.reads.begin(), tr.reads.end());
-      sim_tasks.push_back(std::move(sim));
+      sim_tasks.push_back(SimTask{tr.elapsed - tr.blocked,
+                                  half.plan->assigned[i], tr.reads});
     }
   }
 
-  const SimOutcome outcome = simulator_.RunStage(sim_tasks);
+  const SimOutcome outcome = SimulateStage(config_, sim_tasks);
   metrics.simulated_seconds = outcome.makespan_seconds;
   metrics.network_seconds = outcome.network_seconds;
   metrics.wall_seconds = timer.ElapsedSeconds();
@@ -680,11 +672,6 @@ Result<StageMetrics> Cluster::FinishStage(
       obs::EventType::kStageEnd, name_id, metrics.num_tasks,
       static_cast<uint64_t>(metrics.real_seconds * 1e6),
       static_cast<uint64_t>(metrics.wall_seconds * 1e6));
-  EngineMetrics::Get().stage_simulated_seconds.Observe(
-      metrics.simulated_seconds);
-  obs::Registry::Global()
-      .GetHistogram(obs::TaggedName("engine.stage.seconds", {{"stage", name}}))
-      .Observe(metrics.real_seconds);
   IDF_LOG_DEBUG("stage '%s': %u tasks, real %.3fs, wall %.3fs, "
                 "simulated %.3fs",
                 name.c_str(), metrics.num_tasks, metrics.real_seconds,

@@ -1,12 +1,14 @@
 // Cluster: the engine facade tying together topology, block manager, shuffle
-// service, discrete-event simulation, lineage, and failure injection.
+// service, lineage, and failure injection.
 //
 // Execution model (see DESIGN.md and docs/SCHEDULER.md):
 //  - task bodies run for real on the host — concurrently, on a thread pool
 //    with one work lane per executor (engine/scheduler.h) — and are
 //    individually timed;
-//  - the StageSimulator replays the stage on the configured (simulated)
-//    topology to produce cluster-scale makespans;
+//  - SimulateStage (engine/des.h) replays each finished stage on its own on
+//    the configured (simulated) topology to produce cluster-scale makespans;
+//    it keeps no state between stages, so a stage's makespan depends only on
+//    its own tasks;
 //  - fault tolerance follows the paper's §III-D: lost blocks are recomputed
 //    from registered lineage (for indexed partitions that means re-building
 //    the index and replaying appends — the Fig. 12 recovery spike).
@@ -82,11 +84,6 @@ struct PartitionInput {
 
 struct TaskSpec {
   ExecutorId preferred = kAnyExecutor;
-  std::vector<SimRead> static_reads;  // known before the task runs
-  /// Simulated-only compute time added to this task in the DES (used to model
-  /// per-executor work the driver performed once for real, e.g. hash builds
-  /// replicated to every executor after a broadcast).
-  double extra_sim_seconds = 0;
   TaskBody body;
   /// Input partitions (optional). Tasks that declare them participate in
   /// residency-preferred dispatch and input prefetch; tasks that don't are
@@ -111,7 +108,6 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   BlockManager& blocks() { return blocks_; }
   ShuffleService& shuffle() { return shuffle_; }
-  StageSimulator& simulator() { return simulator_; }
 
   uint64_t NewRddId() {
     return next_rdd_id_.fetch_add(1, std::memory_order_relaxed);
@@ -287,7 +283,6 @@ class Cluster {
   ClusterConfig config_;
   BlockManager blocks_;
   ShuffleService shuffle_;
-  StageSimulator simulator_;
   mutable std::mutex alive_mutex_;  // guards alive_ (kills vs. placement)
   std::vector<bool> alive_;
   std::atomic<uint64_t> next_rdd_id_{1};

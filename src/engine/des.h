@@ -1,6 +1,6 @@
 // Discrete-event simulation of stage execution on the configured cluster.
 //
-// Real task work is executed and timed on the host; this simulator answers
+// Real task work is executed and timed on the host; SimulateStage answers
 // "how long would this stage have taken on W workers x E executors x C
 // cores, with the given NIC model?" — producing the cluster-scale numbers
 // for the scalability (Fig. 6), NUMA (Fig. 4), and join (Fig. 7) figures.
@@ -15,14 +15,15 @@
 //    out-queue and the destination worker's in-queue (same-worker transfers
 //    use the faster intra-worker path and skip the NIC);
 //  - task compute time is multiplied by the topology's NUMA factor.
+//
+// A stage is simulated on its own: every core and NIC clock starts at zero,
+// so its makespan depends only on its own tasks, never on earlier stages or
+// on other queries sharing the cluster.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
-#include "common/status.h"
 #include "engine/topology.h"
 
 namespace idf {
@@ -43,165 +44,9 @@ struct SimOutcome {
   double network_seconds = 0;  // total serialized transfer time
 };
 
-class StageSimulator {
- public:
-  explicit StageSimulator(const ClusterConfig& config)
-      : config_(config),
-        core_free_(config.total_executors() * config.cores_per_executor, 0.0),
-        nic_in_free_(config.num_workers, 0.0),
-        nic_out_free_(config.num_workers, 0.0) {}
-
-  /// Simulates one stage; clocks persist across calls so that consecutive
-  /// stages of a query pipeline queue naturally. Tasks are assigned in
-  /// index order (Spark launches tasks in partition order). Thread-safe:
-  /// concurrent sessions sharing one cluster interleave whole stages (the
-  /// internal mutex), never individual placements.
-  SimOutcome RunStage(const std::vector<SimTask>& tasks) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    SimOutcome outcome;
-    const double start = *std::max_element(core_free_.begin(),
-                                           core_free_.end());
-    double stage_end = start;
-    for (const SimTask& task : tasks) {
-      const double end = PlaceTask(task, &outcome.network_seconds);
-      stage_end = std::max(stage_end, end);
-    }
-    // A stage is a barrier: no core may start the next stage earlier.
-    for (double& t : core_free_) t = std::max(t, stage_end);
-    outcome.makespan_seconds = stage_end - start;
-    return outcome;
-  }
-
-  /// Simulates broadcasting `bytes` from one worker to every other worker
-  /// (vanilla BroadcastHashJoin's build-side distribution). Returns the time
-  /// until the last worker has the data; clocks advance accordingly.
-  double Broadcast(uint64_t bytes) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (config_.num_workers <= 1 || bytes == 0) return 0.0;
-    const NetworkConfig& net = config_.network;
-    double done = 0.0;
-    // Source serializes W-1 sends on its out-NIC (worker 0 by convention).
-    double src_out = nic_out_free_[0];
-    for (uint32_t w = 1; w < config_.num_workers; ++w) {
-      const double transfer =
-          net.latency_s + static_cast<double>(bytes) / net.bandwidth_bytes_per_s;
-      const double begin = std::max(src_out, nic_in_free_[w]);
-      src_out = begin + transfer;
-      nic_in_free_[w] = begin + transfer;
-      done = std::max(done, begin + transfer);
-    }
-    nic_out_free_[0] = src_out;
-    return done;
-  }
-
-  double Now() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return *std::max_element(core_free_.begin(), core_free_.end());
-  }
-
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::fill(core_free_.begin(), core_free_.end(), 0.0);
-    std::fill(nic_in_free_.begin(), nic_in_free_.end(), 0.0);
-    std::fill(nic_out_free_.begin(), nic_out_free_.end(), 0.0);
-  }
-
- private:
-  uint32_t CoreBase(ExecutorId e) const { return e * config_.cores_per_executor; }
-
-  /// Earliest-free core of an executor.
-  uint32_t BestCore(ExecutorId e) const {
-    uint32_t best = CoreBase(e);
-    for (uint32_t c = CoreBase(e); c < CoreBase(e) + config_.cores_per_executor;
-         ++c) {
-      if (core_free_[c] < core_free_[best]) best = c;
-    }
-    return best;
-  }
-
-  ExecutorId LeastLoadedExecutor() const {
-    ExecutorId best = 0;
-    double best_time = core_free_[BestCore(0)];
-    for (ExecutorId e = 1; e < config_.total_executors(); ++e) {
-      const double t = core_free_[BestCore(e)];
-      if (t < best_time) {
-        best_time = t;
-        best = e;
-      }
-    }
-    return best;
-  }
-
-  double SerializationCost(uint64_t bytes, bool cross_worker) const {
-    const NetworkConfig& net = config_.network;
-    const double bw =
-        cross_worker ? net.bandwidth_bytes_per_s : net.intra_worker_bandwidth;
-    return static_cast<double>(bytes) / bw;
-  }
-
-  double PlaceTask(const SimTask& task, double* network_seconds) {
-    ExecutorId target = task.preferred != kAnyExecutor &&
-                                task.preferred < config_.total_executors()
-                            ? task.preferred
-                            : LeastLoadedExecutor();
-    // Delay scheduling: if the preferred executor is backlogged more than a
-    // locality timeout versus the least-loaded one, surrender locality
-    // (Spark's spark.locality.wait behaviour, §III-D).
-    constexpr double kLocalityWait = 3e-3;
-    if (task.preferred != kAnyExecutor) {
-      const ExecutorId alt = LeastLoadedExecutor();
-      if (core_free_[BestCore(target)] >
-          core_free_[BestCore(alt)] + kLocalityWait) {
-        target = alt;
-      }
-    }
-
-    const uint32_t core = BestCore(target);
-    const uint32_t dst_worker = config_.WorkerOf(target);
-    const double start = core_free_[core];
-
-    // Fetch inputs not local to the chosen executor. Fetches are issued in
-    // parallel (shuffle clients pipeline); each cross-worker transfer
-    // serializes its bytes on the source out-queue and the destination
-    // in-queue, and the task starts computing once the slowest input has
-    // arrived. Propagation latency delays the reader, not the queues.
-    double inputs_ready = start;
-    double intra_ser = 0;  // same-worker copies serialize on memory bw
-    for (const SimRead& read : task.reads) {
-      if (read.source == target || read.bytes == 0) continue;
-      const bool has_source = read.source != kAnyExecutor;
-      const bool cross_worker =
-          !has_source || config_.WorkerOf(read.source) != dst_worker;
-      const double ser = SerializationCost(read.bytes, cross_worker);
-      if (cross_worker) {
-        const uint32_t src_worker =
-            has_source ? config_.WorkerOf(read.source) : dst_worker;
-        double& out_q = nic_out_free_[src_worker];
-        double& in_q = nic_in_free_[dst_worker];
-        const double begin = std::max(out_q, in_q);
-        out_q = begin + ser;
-        in_q = begin + ser;
-        const double completion = begin + ser + config_.network.latency_s;
-        inputs_ready = std::max(inputs_ready, completion);
-        *network_seconds += ser + config_.network.latency_s;
-      } else {
-        intra_ser += ser;
-        *network_seconds += ser;
-      }
-    }
-    inputs_ready = std::max(inputs_ready, start + intra_ser);
-
-    const double end =
-        inputs_ready + task.compute_seconds * config_.NumaFactor();
-    core_free_[core] = end;
-    return end;
-  }
-
-  ClusterConfig config_;
-  mutable std::mutex mutex_;
-  std::vector<double> core_free_;
-  std::vector<double> nic_in_free_;
-  std::vector<double> nic_out_free_;
-};
+/// Simulates one stage on `config`'s topology. Tasks are assigned in index
+/// order (Spark launches tasks in partition order).
+SimOutcome SimulateStage(const ClusterConfig& config,
+                         const std::vector<SimTask>& tasks);
 
 }  // namespace idf

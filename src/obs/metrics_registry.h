@@ -6,7 +6,7 @@
 // cached member) and then pay one relaxed atomic RMW per update — the
 // registry map lookup happens only at first use. Metrics can be tagged
 // (executor / stage / operator) via TaggedName(), which folds the tags into
-// the metric name: `engine.stage.seconds{stage=filter}`.
+// the metric name: `mem.evictions{executor=2}`.
 //
 // A snapshot of every metric can be taken at any point and exported as JSON
 // (benches write it through the --metrics-out flag in bench/bench_util.h).

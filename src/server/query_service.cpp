@@ -345,6 +345,13 @@ QueryService::~QueryService() {
 }
 
 QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
+  const uint32_t name_id =
+      obs::FlightRecorder::Global().InternName(options.label);
+  return Enqueue(std::move(work), std::move(options), name_id);
+}
+
+QueryHandle QueryService::Enqueue(QueryWork work, QueryOptions options,
+                                  uint32_t name_id) {
   ServerMetrics& sm = ServerMetrics::Get();
   obs::FlightRecorder& fr = obs::FlightRecorder::Global();
 
@@ -356,7 +363,7 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
   rec->id = obs::AllocateQueryId();
   rec->control.set_query_id(rec->id);
   rec->label = std::move(options.label);
-  rec->name_id = fr.InternName(rec->label);
+  rec->name_id = name_id;
   rec->priority = options.priority;
   rec->reservation = options.reservation_bytes != 0
                          ? options.reservation_bytes
@@ -398,14 +405,22 @@ QueryHandle QueryService::Submit(QueryWork work, QueryOptions options) {
 
 QueryHandle QueryService::SubmitSql(const std::string& sql,
                                     QueryOptions options) {
+  // The SQL text labels the record only: interning it would fill the
+  // recorder's name pool with one entry per distinct literal.
+  static const uint32_t sql_name_id =
+      obs::FlightRecorder::Global().InternName("sql");
+  const uint32_t name_id =
+      options.label.empty()
+          ? sql_name_id
+          : obs::FlightRecorder::Global().InternName(options.label);
   if (options.label.empty()) options.label = sql.substr(0, 48);
-  return Submit(
+  return Enqueue(
       [sql](QueryContext& ctx) -> Status {
         IDF_ASSIGN_OR_RETURN(DataFrame df, ctx.session.Sql(sql));
         IDF_ASSIGN_OR_RETURN(ctx.result, df.Collect());
         return Status::OK();
       },
-      std::move(options));
+      std::move(options), name_id);
 }
 
 std::shared_ptr<QueryRecord> QueryService::PopLocked() {

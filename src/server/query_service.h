@@ -89,7 +89,9 @@ struct QueryOptions {
   /// Wall-clock budget from submission; 0 = none. Expiry fails the query
   /// with kDeadlineExceeded whether it is still queued or already running.
   double deadline_seconds = 0;
-  /// Optional label for events, /queries, and logs.
+  /// Optional label for events, /queries, and logs. Submit interns it as
+  /// the name of the query's flight-recorder events, in a pool of bounded
+  /// size: draw it from a small set (an operation kind, not per-query text).
   std::string label;
 };
 
@@ -184,7 +186,8 @@ class QueryService {
   QueryHandle Submit(QueryWork work, QueryOptions options = {});
 
   /// Convenience: submit a SQL text; the result of Collect() lands in the
-  /// handle (TakeResult).
+  /// handle (TakeResult). Without a label, /queries and the slow-query log
+  /// show the SQL's first 48 characters and the events are named "sql".
   QueryHandle SubmitSql(const std::string& sql, QueryOptions options = {});
 
   /// Stops accepting work and joins the drivers. cancel_pending=false
@@ -208,6 +211,8 @@ class QueryService {
   std::string QueryJson(uint64_t id) const;
 
  private:
+  /// Submit with the flight-recorder name of the query's events given.
+  QueryHandle Enqueue(QueryWork work, QueryOptions options, uint32_t name_id);
   void WorkerLoop();
   /// Pops the best queued entry (priority, then FIFO). Caller holds mu_.
   std::shared_ptr<detail::QueryRecord> PopLocked();

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "common/timer.h"
+#include "engine/des.h"
 #include "mem/governor.h"
 #include "obs/flight_recorder.h"
 #include "sql/agg_internal.h"
@@ -339,8 +340,6 @@ Result<TableHandle> FilterExec::ExecuteImpl(Session& session,
   for (uint32_t p = 0; p < in.num_partitions; ++p) {
     stage.tasks.push_back(TaskSpec{
         session.cluster().HomeExecutorFor(in.rdd_id, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           // Keep the input chunk pinned for the whole body: column
           // references are held across appends that may trigger eviction.
@@ -405,8 +404,6 @@ Result<TableHandle> ProjectExec::ExecuteImpl(Session& session,
   for (uint32_t p = 0; p < in.num_partitions; ++p) {
     stage.tasks.push_back(TaskSpec{
         session.cluster().HomeExecutorFor(in.rdd_id, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           // Declared before `scope`, which unpins it on exit: a chunk
           // recomputed after its block was dropped has no other owner.
@@ -539,24 +536,14 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   metrics.totals.hash_build_seconds += build_seconds;
   metrics.real_seconds += build_seconds;
 
-  // Simulated cost: ship the build relation to every worker, then every
-  // executor builds its own hash table.
-  cluster.simulator().Broadcast(build.total_bytes);
-  StageSpec replica_stage;
-  replica_stage.name = "broadcast hash build";
+  // Simulated cost: every executor builds its own hash table (the driver
+  // built it once, for real). The transfer of the build side is not modeled.
+  std::vector<SimTask> replicas;
   for (ExecutorId e : cluster.AliveExecutors()) {
-    replica_stage.tasks.push_back(
-        TaskSpec{e,
-                 {},
-                 build_seconds,
-                 [](TaskContext&) {
-                   return Status::OK();  // modeled only; driver built for real
-                 },
-                 {}});
+    replicas.push_back(SimTask{build_seconds, e, {}});
   }
-  IDF_ASSIGN_OR_RETURN(StageMetrics replica_metrics,
-                       cluster.RunStage(replica_stage));
-  metrics.MergeStage(replica_metrics);
+  metrics.simulated_seconds +=
+      SimulateStage(cluster.config(), replicas).makespan_seconds;
 
   // Probe stage: one task per probe partition, local to the probe block.
   TableSink sink(session, out_schema, probe.num_partitions);
@@ -565,8 +552,6 @@ Result<TableHandle> JoinExec::BroadcastHashJoin(
   for (uint32_t p = 0; p < probe.num_partitions; ++p) {
     stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(probe.rdd_id, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           // Pins the probe chunk AND every build chunk touched below — the
           // body holds `key_col` across reads of other chunks, so transient
@@ -658,8 +643,6 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
     const uint32_t p = left ? m : m - L;
     map_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(table->rdd_id, p),
-        {},
-        0,
         [&, m, p, left, table](TaskContext& ctx) -> Status {
           const RowLayout& layout = left ? llayout : rlayout;
           const size_t key = left ? lkey : rkey;
@@ -707,8 +690,6 @@ Result<TableHandle> JoinExec::ShuffledJoin(Session& session,
   for (uint32_t rp = 0; rp < R; ++rp) {
     reduce.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(sink.rdd_id(), rp),
-        {},
-        0,
         [&, rp](TaskContext& ctx) -> Status {
           // Collect row pointers per side; `held` keeps their buffers (and
           // the string keys viewing them) alive. Null keys arrive only from
@@ -925,8 +906,6 @@ Result<TableHandle> ShuffleAggregate(
   for (uint32_t p = 0; p < num_partitions; ++p) {
     partial_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(input_rdd, p),
-        {},
-        0,
         [&, p](TaskContext& ctx) -> Status {
           GroupMap groups;
           IDF_RETURN_IF_ERROR(partial(ctx, p, groups));
@@ -960,8 +939,6 @@ Result<TableHandle> ShuffleAggregate(
   for (uint32_t rp = 0; rp < R; ++rp) {
     final_stage.tasks.push_back(TaskSpec{
         cluster.HomeExecutorFor(sink.rdd_id(), rp),
-        {},
-        0,
         [&, rp](TaskContext& ctx) -> Status {
           RoutedBufferStream in = OpenReduceStream(ctx, shuffle_id, rp);
           GroupMap groups;
@@ -1035,8 +1012,6 @@ Result<TableHandle> UnionExec::ExecuteImpl(Session& session,
     for (uint32_t p = 0; p < side.num_partitions; ++p) {
       stage.tasks.push_back(TaskSpec{
           cluster.HomeExecutorFor(side.rdd_id, p),
-          {},
-          0,
           [&, p, offset, side](TaskContext& ctx) -> Status {
             Result<ChunkPtr> chunk = FetchChunk(ctx, side, p);
             IDF_RETURN_IF_ERROR(chunk.status());
@@ -1086,8 +1061,6 @@ Result<TableHandle> SortExec::ExecuteImpl(Session& session,
   }
   stage.tasks.push_back(TaskSpec{
       cluster.AliveExecutors().front(),
-      {},
-      0,
       [&](TaskContext& ctx) -> Status {
         // Gather (chunk, row) references across all partitions, then sort.
         // `chunks` is declared before `scope`, which unpins them on exit: a
@@ -1148,8 +1121,6 @@ Result<TableHandle> LimitExec::ExecuteImpl(Session& session,
   }
   stage.tasks.push_back(TaskSpec{
       cluster.AliveExecutors().front(),
-      {},
-      0,
       [&](TaskContext& ctx) -> Status {
         // Declared before `scope`, which unpins them on exit: a chunk
         // recomputed after its block was dropped has no other owner.

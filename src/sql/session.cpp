@@ -97,8 +97,6 @@ Result<DataFrame> Session::CreateTableImpl(const std::string& name,
     const ExecutorId home = cluster_->HomeExecutorFor(rdd_id, p);
     stage.tasks.push_back(TaskSpec{
         home,
-        {},
-        0,
         [&, p, rdd_id](TaskContext& ctx) {
           ChunkPtr chunk = build_chunk(p);
           total_rows += chunk->num_rows();

@@ -154,7 +154,7 @@ TEST(BlockManagerTest, TotalBytesSums) {
   EXPECT_EQ(bm.TotalBytes(), 350u);
 }
 
-// ---- StageSimulator --------------------------------------------------------------
+// ---- SimulateStage -----------------------------------------------------------
 
 ClusterConfig SmallCluster(uint32_t workers, uint32_t executors_per_worker,
                            uint32_t cores) {
@@ -167,23 +167,21 @@ ClusterConfig SmallCluster(uint32_t workers, uint32_t executors_per_worker,
 }
 
 TEST(StageSimTest, SingleTaskTakesItsComputeTime) {
-  StageSimulator sim(SmallCluster(1, 1, 1));
-  SimOutcome out = sim.RunStage({SimTask{1.0, 0, {}}});
+  SimOutcome out =
+      SimulateStage(SmallCluster(1, 1, 1), {SimTask{1.0, 0, {}}});
   EXPECT_DOUBLE_EQ(out.makespan_seconds, 1.0);
   EXPECT_DOUBLE_EQ(out.network_seconds, 0.0);
 }
 
 TEST(StageSimTest, PerfectParallelismAcrossCores) {
-  StageSimulator sim(SmallCluster(1, 1, 4));
   std::vector<SimTask> tasks(4, SimTask{1.0, kAnyExecutor, {}});
-  SimOutcome out = sim.RunStage(tasks);
+  SimOutcome out = SimulateStage(SmallCluster(1, 1, 4), tasks);
   EXPECT_NEAR(out.makespan_seconds, 1.0, 1e-9);
 }
 
 TEST(StageSimTest, MoreTasksThanCoresSerializes) {
-  StageSimulator sim(SmallCluster(1, 1, 2));
   std::vector<SimTask> tasks(4, SimTask{1.0, kAnyExecutor, {}});
-  SimOutcome out = sim.RunStage(tasks);
+  SimOutcome out = SimulateStage(SmallCluster(1, 1, 2), tasks);
   EXPECT_NEAR(out.makespan_seconds, 2.0, 1e-9);
 }
 
@@ -196,19 +194,9 @@ TEST(StageSimTest, VerticalScalingIsNearLinear) {
     c.sockets_per_worker = 1;  // isolate core scaling from the NUMA model
     return c;
   };
-  double t1, t4, t16;
-  {
-    StageSimulator sim(single_socket(1));
-    t1 = sim.RunStage(tasks).makespan_seconds;
-  }
-  {
-    StageSimulator sim(single_socket(4));
-    t4 = sim.RunStage(tasks).makespan_seconds;
-  }
-  {
-    StageSimulator sim(single_socket(16));
-    t16 = sim.RunStage(tasks).makespan_seconds;
-  }
+  const double t1 = SimulateStage(single_socket(1), tasks).makespan_seconds;
+  const double t4 = SimulateStage(single_socket(4), tasks).makespan_seconds;
+  const double t16 = SimulateStage(single_socket(16), tasks).makespan_seconds;
   EXPECT_NEAR(t1 / t4, 4.0, 0.2);
   EXPECT_NEAR(t1 / t16, 16.0, 1.0);
 }
@@ -217,18 +205,16 @@ TEST(StageSimTest, RemoteReadsChargeNetworkTime) {
   ClusterConfig c = SmallCluster(2, 1, 1);
   c.network.latency_s = 0.01;
   c.network.bandwidth_bytes_per_s = 1e6;  // 1 MB/s for visible costs
-  StageSimulator sim(c);
   // Task on executor 1 reads 1 MB produced on executor 0 (cross-worker).
   SimTask task{0.5, 1, {SimRead{0, 1000000}}};
-  SimOutcome out = sim.RunStage({task});
+  SimOutcome out = SimulateStage(c, {task});
   EXPECT_NEAR(out.makespan_seconds, 0.5 + 0.01 + 1.0, 1e-6);
   EXPECT_NEAR(out.network_seconds, 1.01, 1e-6);
 }
 
 TEST(StageSimTest, LocalReadsAreFree) {
-  StageSimulator sim(SmallCluster(2, 1, 1));
   SimTask task{0.5, 1, {SimRead{1, 1000000}}};
-  SimOutcome out = sim.RunStage({task});
+  SimOutcome out = SimulateStage(SmallCluster(2, 1, 1), {task});
   EXPECT_NEAR(out.makespan_seconds, 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(out.network_seconds, 0.0);
 }
@@ -236,12 +222,11 @@ TEST(StageSimTest, LocalReadsAreFree) {
 TEST(StageSimTest, IntraWorkerReadsAreCheaperThanCrossWorker) {
   ClusterConfig c = SmallCluster(2, 2, 1);
   c.network.latency_s = 0;
-  StageSimulator sim_intra(c), sim_cross(c);
   // Executors 0,1 share worker 0; executor 2 lives on worker 1.
   SimOutcome intra =
-      sim_intra.RunStage({SimTask{0.0, 1, {SimRead{0, 100 << 20}}}});
+      SimulateStage(c, {SimTask{0.0, 1, {SimRead{0, 100 << 20}}}});
   SimOutcome cross =
-      sim_cross.RunStage({SimTask{0.0, 2, {SimRead{0, 100 << 20}}}});
+      SimulateStage(c, {SimTask{0.0, 2, {SimRead{0, 100 << 20}}}});
   EXPECT_LT(intra.makespan_seconds, cross.makespan_seconds);
 }
 
@@ -250,7 +235,6 @@ TEST(StageSimTest, NicSerializationCreatesContention) {
   ClusterConfig c = SmallCluster(4, 1, 4);
   c.network.latency_s = 0;
   c.network.bandwidth_bytes_per_s = 1e6;
-  StageSimulator sim(c);
   std::vector<SimTask> tasks;
   for (int i = 0; i < 3; ++i) {
     // Three tasks on three different remote workers, each pulling 1 MB
@@ -258,7 +242,7 @@ TEST(StageSimTest, NicSerializationCreatesContention) {
     tasks.push_back(SimTask{0.0, static_cast<ExecutorId>(i + 1),
                             {SimRead{0, 1000000}}});
   }
-  SimOutcome out = sim.RunStage(tasks);
+  SimOutcome out = SimulateStage(c, tasks);
   EXPECT_GT(out.makespan_seconds, 2.5);  // not 1.0: transfers serialized
 }
 
@@ -269,7 +253,6 @@ TEST(StageSimTest, HorizontalScalingIsSubLinear) {
     ClusterConfig c = SmallCluster(workers, 1, 4);
     c.network.latency_s = 1e-4;
     c.network.bandwidth_bytes_per_s = 1.25e9;
-    StageSimulator sim(c);
     std::vector<SimTask> tasks;
     for (uint32_t t = 0; t < 64; ++t) {
       // Every task reads ~32 MB scattered across all workers.
@@ -280,7 +263,7 @@ TEST(StageSimTest, HorizontalScalingIsSubLinear) {
       tasks.push_back(SimTask{0.2, static_cast<ExecutorId>(t % workers),
                               std::move(reads)});
     }
-    return sim.RunStage(tasks).makespan_seconds;
+    return SimulateStage(c, tasks).makespan_seconds;
   };
   const double t2 = run(2), t8 = run(8), t32 = run(32);
   EXPECT_GT(t2, t8);
@@ -289,38 +272,42 @@ TEST(StageSimTest, HorizontalScalingIsSubLinear) {
   EXPECT_LT(t8 / t32, 4.0);
 }
 
-TEST(StageSimTest, StagesActAsBarriers) {
-  StageSimulator sim(SmallCluster(1, 1, 2));
-  sim.RunStage({SimTask{1.0, kAnyExecutor, {}}});
-  // Second stage starts only after the first finishes everywhere.
-  SimOutcome out = sim.RunStage({SimTask{0.5, kAnyExecutor, {}}});
-  EXPECT_NEAR(sim.Now(), 1.5, 1e-9);
-  EXPECT_NEAR(out.makespan_seconds, 0.5, 1e-9);
-}
-
-TEST(StageSimTest, BroadcastCostGrowsWithWorkers) {
-  ClusterConfig c2 = SmallCluster(2, 1, 1);
-  ClusterConfig c16 = SmallCluster(16, 1, 1);
-  c2.network.bandwidth_bytes_per_s = c16.network.bandwidth_bytes_per_s = 1e9;
-  StageSimulator s2(c2), s16(c16);
-  const double b2 = s2.Broadcast(100 << 20);
-  const double b16 = s16.Broadcast(100 << 20);
-  EXPECT_GT(b16, b2);
+TEST(StageSimTest, MakespanIgnoresEarlierStages) {
+  // A 100 MB cross-worker read costs the same on a fresh cluster and after
+  // an unrelated busy stage: no simulated clock carries over between
+  // stages, so the transfer cannot be scheduled into time before its own
+  // stage began (a cluster-wide simulator with persistent NIC clocks
+  // charged it ~0 s the second time).
+  Cluster cluster(SmallCluster(2, 1, 1));
+  StageSpec read;
+  read.name = "remote-read";
+  read.tasks.push_back(TaskSpec{1, [](TaskContext& ctx) {
+                                  ctx.AddRead(0, 100 << 20);
+                                  return Status::OK();
+                                }, {}});
+  StageSpec busy;
+  busy.name = "busy";
+  for (ExecutorId e = 0; e < 2; ++e) {
+    busy.tasks.push_back(TaskSpec{e, [](TaskContext&) {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(150));
+                                    return Status::OK();
+                                  }, {}});
+  }
+  Result<StageMetrics> fresh = cluster.RunStage(read);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(cluster.RunStage(busy).ok());
+  Result<StageMetrics> after = cluster.RunStage(read);
+  ASSERT_TRUE(after.ok());
+  EXPECT_GT(fresh->simulated_seconds, 0.05);
+  EXPECT_NEAR(after->simulated_seconds, fresh->simulated_seconds, 0.01);
 }
 
 TEST(StageSimTest, NumaFactorStretchesCompute) {
   ClusterConfig spanning = SmallCluster(1, 1, 16);
   spanning.numa_pinned = false;
-  StageSimulator sim(spanning);
-  SimOutcome out = sim.RunStage({SimTask{1.0, 0, {}}});
+  SimOutcome out = SimulateStage(spanning, {SimTask{1.0, 0, {}}});
   EXPECT_GT(out.makespan_seconds, 1.2);
-}
-
-TEST(StageSimTest, ResetClearsClocks) {
-  StageSimulator sim(SmallCluster(1, 1, 1));
-  sim.RunStage({SimTask{1.0, 0, {}}});
-  sim.Reset();
-  EXPECT_DOUBLE_EQ(sim.Now(), 0.0);
 }
 
 // ---- HashPartition --------------------------------------------------------------
@@ -452,7 +439,7 @@ TEST(ClusterTest, RunStageExecutesAllTasks) {
   stage.name = "count";
   for (int i = 0; i < 10; ++i) {
     stage.tasks.push_back(TaskSpec{
-        kAnyExecutor, {}, 0, [&](TaskContext&) {
+        kAnyExecutor, [&](TaskContext&) {
           executed++;
           return Status::OK();
         }, {}});
@@ -470,7 +457,7 @@ TEST(ClusterTest, TaskFailureAbortsStage) {
   StageSpec stage;
   stage.name = "failing";
   stage.tasks.push_back(TaskSpec{
-      kAnyExecutor, {}, 0, [](TaskContext&) {
+      kAnyExecutor, [](TaskContext&) {
         return Status::Internal("task exploded");
       }, {}});
   auto metrics = cluster.RunStage(stage);
@@ -563,7 +550,7 @@ TEST(ClusterTest, DeadPreferredExecutorFallsBack) {
   StageSpec stage;
   stage.name = "fallback";
   ExecutorId ran_on = kAnyExecutor;
-  stage.tasks.push_back(TaskSpec{1, {}, 0, [&](TaskContext& ctx) {
+  stage.tasks.push_back(TaskSpec{1, [&](TaskContext& ctx) {
                                    ran_on = ctx.executor();
                                    return Status::OK();
                                  }, {}});
@@ -580,7 +567,7 @@ TEST(ClusterTest, DeadExecutorTasksRoundRobinAcrossAlive) {
   stage.name = "spread";
   std::vector<ExecutorId> ran_on(8, kAnyExecutor);
   for (uint32_t i = 0; i < 8; ++i) {
-    stage.tasks.push_back(TaskSpec{0, {}, 0, [&, i](TaskContext& ctx) {
+    stage.tasks.push_back(TaskSpec{0, [&, i](TaskContext& ctx) {
                                      ran_on[i] = ctx.executor();
                                      return Status::OK();
                                    }, {}});
@@ -601,7 +588,7 @@ TEST(ClusterTest, ParallelStageMatchesSequentialTotals) {
     stage.name = "parity";
     for (uint32_t i = 0; i < 16; ++i) {
       stage.tasks.push_back(TaskSpec{
-          static_cast<ExecutorId>(i % 4), {}, 0, [i](TaskContext& ctx) {
+          static_cast<ExecutorId>(i % 4), [i](TaskContext& ctx) {
             ctx.metrics().rows_read += 10 * (i + 1);
             ctx.metrics().index_probes += i;
             ctx.metrics().index_hits += i / 2;
@@ -634,7 +621,7 @@ TEST(ClusterTest, ParallelFirstErrorWinsAndCancelsRemainder) {
   std::atomic<int> executed{0};
   for (uint32_t i = 0; i < 64; ++i) {
     stage.tasks.push_back(
-        TaskSpec{kAnyExecutor, {}, 0, [&, i](TaskContext&) -> Status {
+        TaskSpec{kAnyExecutor, [&, i](TaskContext&) -> Status {
           executed++;
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
           if (i == 5) return Status::Internal("task 5 exploded");
@@ -661,12 +648,12 @@ TEST(ClusterTest, NestedStageFromTaskBodyRunsInline) {
   outer.name = "outer";
   for (uint32_t i = 0; i < 4; ++i) {
     outer.tasks.push_back(
-        TaskSpec{kAnyExecutor, {}, 0, [&](TaskContext& ctx) {
+        TaskSpec{kAnyExecutor, [&](TaskContext& ctx) {
           StageSpec inner;
           inner.name = "inner";
           for (int j = 0; j < 2; ++j) {
             inner.tasks.push_back(
-                TaskSpec{kAnyExecutor, {}, 0, [&](TaskContext&) {
+                TaskSpec{kAnyExecutor, [&](TaskContext&) {
                   inner_runs++;
                   return Status::OK();
                 }, {}});

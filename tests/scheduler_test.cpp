@@ -228,8 +228,6 @@ TEST(SchedulerStressTest, TaskSpansNestUnderStageAcrossThreads) {
   stage.name = "traced-stage";
   for (int i = 0; i < 8; ++i) {
     stage.tasks.push_back(TaskSpec{kAnyExecutor,
-                                   {},
-                                   0,
                                    [](TaskContext&) {
                                      std::this_thread::sleep_for(
                                          std::chrono::milliseconds(1));
@@ -327,8 +325,6 @@ TEST(ResidencySchedulingTest, EvictedInputTasksDispatchLast) {
   stage.name = "residency-order";
   for (uint32_t p = 0; p < 4; ++p) {
     stage.tasks.push_back(TaskSpec{kAnyExecutor,
-                                   {},
-                                   0,
                                    [&order, p](TaskContext&) {
                                      order.push_back(p);
                                      return Status::OK();

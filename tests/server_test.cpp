@@ -20,6 +20,7 @@
 
 #include "core/indexed_dataframe.h"
 #include "mem/governor.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "server/query_service.h"
 #include "sql/columnar.h"
@@ -569,6 +570,32 @@ TEST(ServerTest, QueriesJsonReportsStatesAndShutdownCancelsPending) {
   EXPECT_TRUE(running.Wait().ok()) << running.status().ToString();
   service.Shutdown(/*cancel_pending=*/true);
   EXPECT_EQ(mem::MemoryGovernor::Global().reserved_bytes(), 0u);
+}
+
+TEST(ServerTest, DistinctSqlTextsLeaveTheEventNamePoolUsable) {
+  // More distinct SQL texts than the flight recorder's 1024-name pool holds:
+  // the texts label the records, not the events, so a stage name interned
+  // afterwards still resolves to itself instead of "<pool-full>".
+  Session session(ServeClusterOptions());
+  auto edges = *session.CreateTable("edges", EdgeSchema(), DenseEdges(400));
+  auto indexed = *IndexedDataFrame::Create(edges, "src");
+  indexed.RegisterAs("indexed_edges");
+  QueryService service(session,
+                       ServeConfig(/*workers=*/2, AdmitPolicy::kQueue));
+  QueryHandle last;
+  for (int i = 0; i < 1100; ++i) {
+    last = service.SubmitSql("SELECT * FROM indexed_edges WHERE src = " +
+                             std::to_string(i));
+    ASSERT_TRUE(last.Wait().ok()) << last.status().ToString();
+  }
+  EXPECT_NE(service.QueryJson(last.id()).find(
+                "\"SELECT * FROM indexed_edges WHERE src = 1099\""),
+            std::string::npos)
+      << service.QueryJson(last.id());
+
+  obs::FlightRecorder& fr = obs::FlightRecorder::Global();
+  const std::string fresh = "stage-after-many-sql-texts";
+  EXPECT_EQ(std::string(fr.NameForId(fr.InternName(fresh))), fresh);
 }
 
 }  // namespace

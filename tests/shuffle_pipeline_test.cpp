@@ -613,8 +613,6 @@ TEST(ShuffleLivenessTest, BudgetedShuffleNeverStrandsTheMinimalMap) {
   for (uint32_t m = 0; m < kMaps; ++m) {
     map_stage.tasks.push_back(TaskSpec{
         kAnyExecutor,
-        {},
-        0,
         [&, m](TaskContext& ctx) -> Status {
           ShuffleWriter writer(cluster.shuffle(), id, m, 1, ctx.executor(),
                                rows_per_map);
@@ -634,8 +632,6 @@ TEST(ShuffleLivenessTest, BudgetedShuffleNeverStrandsTheMinimalMap) {
   reduce_stage.name = "liveness reduce";
   reduce_stage.tasks.push_back(TaskSpec{
       kAnyExecutor,
-      {},
-      0,
       [&](TaskContext& ctx) -> Status {
         RoutedBufferStream in = OpenReduceStream(ctx, id, 0);
         for (;;) {
@@ -675,8 +671,6 @@ TEST(ShufflePipelineTest, HelpedSlowMapsDoNotInflateTheFusedStageDes) {
     for (uint32_t m = 0; m < kMaps; ++m) {
       map_stage.tasks.push_back(TaskSpec{
           kAnyExecutor,
-          {},
-          0,
           [&cluster, id, m](TaskContext& ctx) -> Status {
             std::this_thread::sleep_for(std::chrono::milliseconds(15));
             ShuffleWriter writer(cluster.shuffle(), id, m, kReduces,
@@ -694,8 +688,6 @@ TEST(ShufflePipelineTest, HelpedSlowMapsDoNotInflateTheFusedStageDes) {
     for (uint32_t r = 0; r < kReduces; ++r) {
       reduce_stage.tasks.push_back(TaskSpec{
           kAnyExecutor,
-          {},
-          0,
           [id, r](TaskContext& ctx) -> Status {
             RoutedBufferStream in = OpenReduceStream(ctx, id, r);
             for (;;) {

@@ -338,14 +338,18 @@ def print_summary(events, out=sys.stdout):
         print(f"  operator {name}: {n} runs, "
               f"{op_us[name] / 1000.0:.1f}ms inclusive", file=out)
     by_stage = defaultdict(Counter)
+    stage_wall_us = defaultdict(int)
     for e in events:
         if e["type"] in TASK_EVENTS and e.get("name"):
             by_stage[e["name"]][e["type"]] += 1
+        elif e["type"] == "stage_end" and e.get("name"):
+            stage_wall_us[e["name"]] += e.get("c", 0)
     for name, counts in by_stage.items():
         hits, misses = counts["resident_hit"], counts["resident_miss"]
         extra = f", residency {hits}H/{misses}M" if hits or misses else ""
         print(f"  stage {name!r}: {counts['task_start']} tasks, "
-              f"{counts['steal']} steals{extra}", file=out)
+              f"{counts['steal']} steals{extra}, "
+              f"wall {stage_wall_us[name] / 1000.0:.1f}ms", file=out)
     print_query_table(events, out=out)
 
 
